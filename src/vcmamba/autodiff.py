@@ -134,7 +134,7 @@ class Tape:
     Use as a context manager around a forward pass; ops executed inside
     record themselves when any input requires a gradient. Replay happens in
     reverse record order, which makes backward deterministic for a
-    deterministic forward.
+    deterministic forward. A tape is single use: backward consumes it.
     """
 
     def __init__(self):
@@ -192,7 +192,8 @@ def backward(loss: Tensor) -> None:
     Walks the recording tape once in reverse. Every requires_grad tensor the
     sweep reaches ends up with a populated .grad (accumulated, so zero grads
     between optimizer steps). Calling backward twice on the same tape is an
-    error.
+    error. Replay pops each node, so the step's graph, a reference cycle
+    through Tensor._tape while recorded, is freed by reference counting.
     """
     tape = loss._tape
     if tape is None:
@@ -205,7 +206,8 @@ def backward(loss: Tensor) -> None:
     tape._consumed = True
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(tape._nodes):
+    while tape._nodes:
+        node = tape._nodes.pop()
         g = node.out.grad
         if g is None:
             continue

@@ -23,6 +23,9 @@ from .nn import BatchNorm2d, Conv2d, DepthwiseConv2d, LayerNorm, Module, trunc_n
 from .scanpath import path_table
 from .ssm import SsmParams, multi_directional_mix
 
+FFN_EXPANSION = 4     # ConvMlp hidden width, in multiples of the block channels
+MAMBA_EXPANSION = 2   # MambaBranch inner (scan) width, in multiples of the block channels
+
 
 class Stem(Module):
     def __init__(self, out_channels: int, *, rng: np.random.Generator,
@@ -45,10 +48,9 @@ class Stem(Module):
 class ConvMlp(Module):
     """The FFN transform without its residual: expand, depthwise, project."""
 
-    def __init__(self, channels: int, *, expansion: int = 4,
-                 rng: np.random.Generator, dtype=ad.DEFAULT_DTYPE):
+    def __init__(self, channels: int, *, rng: np.random.Generator, dtype=ad.DEFAULT_DTYPE):
         super().__init__()
-        hidden = channels * expansion
+        hidden = channels * FFN_EXPANSION
         self.expand = Conv2d(channels, hidden, 1, bias=False, rng=rng, dtype=dtype)
         self.norm1 = BatchNorm2d(hidden, dtype=dtype)
         self.dwconv = DepthwiseConv2d(hidden, 3, padding=1, bias=False, rng=rng, dtype=dtype)
@@ -62,10 +64,9 @@ class ConvMlp(Module):
 
 
 class FfnBlock(Module):
-    def __init__(self, channels: int, *, expansion: int = 4,
-                 rng: np.random.Generator, dtype=ad.DEFAULT_DTYPE):
+    def __init__(self, channels: int, *, rng: np.random.Generator, dtype=ad.DEFAULT_DTYPE):
         super().__init__()
-        self.mlp = ConvMlp(channels, expansion=expansion, rng=rng, dtype=dtype)
+        self.mlp = ConvMlp(channels, rng=rng, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
         return ad.add(x, self.mlp(x))
@@ -91,7 +92,7 @@ class MambaBranch(Module):
     def __init__(self, channels: int, native_grid: tuple[int, int], *, n_state: int = 16,
                  rng: np.random.Generator, dtype=ad.DEFAULT_DTYPE):
         super().__init__()
-        d_inner = 2 * channels
+        d_inner = MAMBA_EXPANSION * channels
         gh, gw = native_grid
         if gh < 1 or gw < 1:
             raise ValueError(f"native grid must be positive, got {native_grid}")
@@ -122,12 +123,12 @@ class MdmBlock(Module):
     x1 = x + mamba(BN(x)); out = x1 + mlp(BN(x1))."""
 
     def __init__(self, channels: int, native_grid: tuple[int, int], *, n_state: int = 16,
-                 expansion: int = 4, rng: np.random.Generator, dtype=ad.DEFAULT_DTYPE):
+                 rng: np.random.Generator, dtype=ad.DEFAULT_DTYPE):
         super().__init__()
         self.norm1 = BatchNorm2d(channels, dtype=dtype)
         self.mamba = MambaBranch(channels, native_grid, n_state=n_state, rng=rng, dtype=dtype)
         self.norm2 = BatchNorm2d(channels, dtype=dtype)
-        self.mlp = ConvMlp(channels, expansion=expansion, rng=rng, dtype=dtype)
+        self.mlp = ConvMlp(channels, rng=rng, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
         x = ad.add(x, self.mamba(self.norm1(x)))

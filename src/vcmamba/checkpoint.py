@@ -15,7 +15,9 @@ Layout, all little-endian:
     checksum        u32      CRC32 of every preceding byte
 
 Entries cover named parameters and named buffers (BN running statistics
-included), so a round trip reproduces eval-mode behaviour exactly. Loading
+included), so a round trip reproduces eval-mode behaviour exactly. A save
+writes and fsyncs a temporary file, then renames it over the target, so a
+failed or interrupted save leaves the previous checkpoint intact. Loading
 rejects wrong magic (format error), unknown versions (version error) and any
 truncation or corruption (integrity error, no partially loaded model).
 """
@@ -23,6 +25,7 @@ truncation or corruption (integrity error, no partially loaded model).
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 
@@ -76,9 +79,17 @@ def save_checkpoint(model: VCMamba, path: str) -> None:
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         parts.append(np.ascontiguousarray(arr, dtype=_TAG_DTYPES[tag]).tobytes())
     body = b"".join(parts)
-    with open(path, "wb") as f:
-        f.write(body)
-        f.write(struct.pack("<I", zlib.crc32(body)))
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(body)
+            f.write(struct.pack("<I", zlib.crc32(body)))
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):     # only when the save failed
+            os.unlink(tmp)
 
 
 class _Reader:

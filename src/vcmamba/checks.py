@@ -21,8 +21,8 @@ from .data import ToyDataset
 from .gradcheck import finite_diff_check
 from .model import PRESETS, VCMamba, count_macs, count_params
 from .scanpath import Direction, PathId, build_path, gather_tokens, path_table, scatter_tokens
-from .ssm import (ScanInputs, SsmParams, direction_aware_scan, selective_projection,
-                  selective_scan_parallel, selective_scan_sequential)
+from .ssm import (N_DIRECTIONS, ScanInputs, SsmParams, direction_aware_scan, discretize,
+                  selective_projection, selective_scan_parallel, selective_scan_sequential)
 
 
 @dataclass
@@ -101,8 +101,9 @@ def random_scan_instance(rng: np.random.Generator, length: int, d_inner: int, n_
     if with_dirs:
         dirs = np.zeros(length, dtype=np.int64)
         if length > 1:
-            dirs[1:] = rng.integers(1, 5, size=length - 1)
-        params.direction_table.data[...] = (rng.standard_normal((5, n_state)) * scale).astype(dtype)
+            dirs[1:] = rng.integers(1, N_DIRECTIONS, size=length - 1)
+        params.direction_table.data[...] = (rng.standard_normal((N_DIRECTIONS, n_state))
+                                            * scale).astype(dtype)
     return ScanInputs(x=x, delta=delta, b_seq=b_seq, c_seq=c_seq, dirs=dirs), params
 
 
@@ -191,10 +192,8 @@ def check_kernel_stability(trials: int = 20) -> CheckResult:
         length = int(rng.integers(1, 257))
         inputs, params = random_scan_instance(rng, length, 4, 8, 2, np.float64)
         _, h = selective_scan_sequential(inputs, params, return_hidden=True)
-        a = -np.exp(params.a_log.data)
-        abar = np.exp(inputs.delta.data[:, :, None, :] * a[None, :, :, None])
-        u = inputs.delta.data[:, :, None, :] * inputs.b_seq.data[:, None, :, :] \
-            * inputs.x.data[:, :, None, :]
+        abar, bbar = discretize(inputs.delta.data, params.a_log.data, inputs.b_seq.data)
+        u = bbar * inputs.x.data[:, :, None, :]
         amax = float(abar.max())
         bound = float(np.abs(u).max()) / (1.0 - amax)
         hmax = float(np.abs(h).max())

@@ -23,8 +23,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeMismatch, Tensor
-from .blocks import DownsampleLayer, FfnBlock, MdmBlock, Stem
+from .blocks import FFN_EXPANSION, MAMBA_EXPANSION, DownsampleLayer, FfnBlock, MdmBlock, Stem
 from .nn import BatchNorm2d, Linear, Module, ModuleList
+from .scanpath import PathId
+from .ssm import delta_rank
 
 REDUCTION = 32  # stem 4x then three stride-2 downsamplers
 
@@ -191,16 +193,15 @@ def count_params(model: VCMamba) -> dict:
     return {"sections": sections, "total": total, "buffer_elements": buffers}
 
 
-def _mlp_macs(channels: int, side_h: int, side_w: int, expansion: int = 4) -> int:
-    hidden = channels * expansion
+def _mlp_macs(channels: int, side_h: int, side_w: int) -> int:
+    hidden = channels * FFN_EXPANSION
     l = side_h * side_w
     return l * hidden * channels + l * hidden * 9 + l * channels * hidden
 
 
-def _mdm_macs(channels: int, side_h: int, side_w: int, n_state: int,
-              n_paths: int = 4, expansion: int = 4) -> int:
-    d = 2 * channels
-    rank = max(1, d // 32)
+def _mdm_macs(channels: int, side_h: int, side_w: int, n_state: int) -> int:
+    d = MAMBA_EXPANSION * channels
+    rank = delta_rank(d)
     l = side_h * side_w
     inner = l * d * channels          # in-projection
     inner += l * d * 9                # depthwise conv
@@ -208,9 +209,9 @@ def _mdm_macs(channels: int, side_h: int, side_w: int, n_state: int,
     per_path += 2 * l * rank * d      # low-rank delta head
     per_path += 5 * l * d * n_state   # discretize (2), input term, recurrence, readout
     per_path += l * d                 # skip term
-    inner += n_paths * per_path
+    inner += len(PathId) * per_path
     inner += l * channels * d         # out-projection
-    return inner + _mlp_macs(channels, side_h, side_w, expansion)
+    return inner + _mlp_macs(channels, side_h, side_w)
 
 
 def count_macs(spec: ModelSpec, resolution: int | None = None) -> dict:

@@ -17,7 +17,8 @@ The scan runs either as the literal sequential recurrence or as a log-depth
 pairwise (recursive doubling) scan over the associative composition
 (a2, u2) o (a1, u1) = (a1 a2, a2 u1 + u2). Both are exposed and contract
 tested against each other. The whole scan is one tape op with a hand-derived
-adjoint: gh_i = gy_i c_i + abar_{i+1} gh_{i+1}, running in reverse.
+adjoint: gh_i = gy_i c_i + abar_{i+1} gh_{i+1}, the same recurrence run in
+reverse time by the same routine as the forward scan.
 
 Array layout is (B, D, N, L) with the scan axis last: batch, inner channels,
 state dimension, sequence.
@@ -46,6 +47,11 @@ class NonFiniteStateError(RuntimeError):
         self.token_index = token_index
 
 
+def delta_rank(d_inner: int) -> int:
+    """Rank of the low-rank delta head: one per 32 inner channels, at least 1."""
+    return max(1, d_inner // 32)
+
+
 class SsmParams(Module):
     """Parameters of one selective SSM, shared across scan directions.
 
@@ -57,7 +63,7 @@ class SsmParams(Module):
     direction code.
     """
 
-    def __init__(self, d_inner: int, n_state: int = 16, *, dt_rank: int | None = None,
+    def __init__(self, d_inner: int, n_state: int = 16, *,
                  rng: np.random.Generator | None = None, dtype=ad.DEFAULT_DTYPE):
         super().__init__()
         if d_inner < 1 or n_state < 1:
@@ -66,7 +72,7 @@ class SsmParams(Module):
             rng = np.random.default_rng(0)
         self.d_inner = d_inner
         self.n_state = n_state
-        self.dt_rank = dt_rank if dt_rank is not None else max(1, d_inner // 32)
+        self.dt_rank = delta_rank(d_inner)
 
         # S4D-real spectrum: state n relaxes at rate n + 1
         a_init = np.log(np.arange(1, n_state + 1, dtype=np.float64))[None, :]
@@ -158,35 +164,6 @@ def _pair_scan_doubling(abar: np.ndarray, u: np.ndarray) -> np.ndarray:
     return h
 
 
-def _adjoint_states(abar: np.ndarray, t: np.ndarray, parallel: bool) -> np.ndarray:
-    """Solve gh_i = t_i + abar_{i+1} gh_{i+1} (gh_L = 0), the reverse-time
-    mirror of the forward recurrence, with the matching scan algorithm."""
-    if not parallel:
-        gh = np.empty_like(t)
-        acc = np.zeros(t.shape[:-1], dtype=t.dtype)
-        length = t.shape[-1]
-        for i in range(length - 1, -1, -1):
-            if i + 1 < length:
-                acc = abar[..., i + 1] * acc + t[..., i]
-            else:
-                acc = t[..., i].copy()
-            gh[..., i] = acc
-        return gh
-    a_flip = abar[..., ::-1]
-    a_rev = np.concatenate([np.ones_like(a_flip[..., :1]), a_flip[..., :-1]], axis=-1)
-    return _pair_scan_doubling(a_rev, t[..., ::-1].copy())[..., ::-1].copy()
-
-
-def _first_nonfinite_token(*arrays: np.ndarray) -> int | None:
-    bad = None
-    for arr in arrays:
-        flags = ~np.isfinite(arr).all(axis=tuple(range(arr.ndim - 1)))
-        bad = flags if bad is None else (bad | flags)
-    if bad is not None and bad.any():
-        return int(np.argmax(bad))
-    return None
-
-
 def _check_scan_operands(op: str, inputs: ScanInputs, params: SsmParams,
                          need_dirs: bool) -> None:
     x, delta, b_seq, c_seq = inputs.x, inputs.delta, inputs.b_seq, inputs.c_seq
@@ -219,11 +196,11 @@ def _check_scan_operands(op: str, inputs: ScanInputs, params: SsmParams,
 
 
 def _selective_scan(op: str, inputs: ScanInputs, params: SsmParams, *,
-                    with_directions: bool, parallel: bool,
-                    return_hidden: bool = False):
+                    with_directions: bool, scan):
     """Shared kernel body. Computes y = C h + skip_gain * x where h follows
-    h_i = abar_i h_{i-1} + delta_i (b_i [+ table[dirs_i]]) x_i, records one
-    fused node on the tape, and returns y (plus h when asked)."""
+    h_i = abar_i h_{i-1} + delta_i (b_i [+ table[dirs_i]]) x_i, evaluates the
+    recurrence and its adjoint with the same pair-scan routine, records one
+    fused node on the tape, and returns (y, h)."""
     _check_scan_operands(op, inputs, params, need_dirs=with_directions)
     x, delta, b_seq, c_seq = inputs.x, inputs.delta, inputs.b_seq, inputs.c_seq
     a_log, skip, table = params.a_log, params.skip_gain, params.direction_table
@@ -239,16 +216,13 @@ def _selective_scan(op: str, inputs: ScanInputs, params: SsmParams, *,
     # numpy warnings are redundant here: the explicit check below raises a
     # typed error naming the first bad token
     with np.errstate(over="ignore", invalid="ignore"):
-        a = -np.exp(a_log.data)                                 # (D, N)
-        abar = np.exp(dd[:, :, None, :] * a[None, :, :, None])  # (B, D, N, L)
-        u = dd[:, :, None, :] * beff[:, None, :, :] * xd[:, :, None, :]
-        scan = _pair_scan_doubling if parallel else _pair_scan_sequential
-        h = scan(abar, u)                                       # (B, D, N, L)
+        abar, bbar = discretize(dd, a_log.data, beff)           # (B, D, N, L)
+        h = scan(abar, bbar * xd[:, :, None, :])                # (B, D, N, L)
         y = np.einsum("bnl,bdnl->bdl", cd, h) + skip.data[None, :, None] * xd
 
-    bad = _first_nonfinite_token(h, y)
-    if bad is not None:
-        raise NonFiniteStateError(bad)
+    bad = ~(np.isfinite(h).all(axis=(0, 1, 2)) & np.isfinite(y).all(axis=(0, 1)))   # (L,)
+    if bad.any():
+        raise NonFiniteStateError(int(np.argmax(bad)))
 
     out = Tensor(y, dtype=y.dtype)
     needs = (x.requires_grad, delta.requires_grad, b_seq.requires_grad,
@@ -256,67 +230,67 @@ def _selective_scan(op: str, inputs: ScanInputs, params: SsmParams, *,
              with_directions and table.requires_grad)
 
     def vjp(gy):
-        # adjoint of the recurrence, then chain back through the
-        # discretization; gh_i = gy_i c_i + abar_{i+1} gh_{i+1}
+        # gh_i = gy_i c_i + abar_{i+1} gh_{i+1} is the forward recurrence on
+        # reversed time with abar shifted one step (the first reversed factor
+        # meets the zero initial state), so the forward routine solves it
         t = gy[:, :, None, :] * cd[:, None, :, :]           # (B, D, N, L)
-        gh = _adjoint_states(abar, t, parallel)
-        gu = gh
+        a_rev = np.concatenate([np.ones_like(abar[..., :1]), abar[..., :0:-1]], axis=-1)
+        gh = scan(a_rev, t[..., ::-1])[..., ::-1].copy()
         hprev = np.concatenate([np.zeros_like(h[..., :1]), h[..., :-1]], axis=-1)
         gabar = gh * hprev
         gdta = gabar * abar                                 # d/d(delta * A)
+        # abar = exp(delta * A), A = -exp(a_log): dA/da_log = A
+        a = -np.exp(a_log.data)
 
         gx = gskip = gdelta = gb = gc = gtable = ga_log = None
+        if needs[0] or needs[1]:
+            gdx = (gh * beff[:, None, :, :]).sum(axis=2)    # d/d(delta * x), (B, D, L)
         if needs[0]:
-            gx = (gu * beff[:, None, :, :]).sum(axis=2) * dd + gy * skip.data[None, :, None]
+            gx = gdx * dd + gy * skip.data[None, :, None]
         if needs[1]:
-            gdelta = (gu * beff[:, None, :, :]).sum(axis=2) * xd + \
-                     np.einsum("bdnl,dn->bdl", gdta, a)
-        gbeff = None
+            gdelta = gdx * xd + np.einsum("bdnl,dn->bdl", gdta, a)
         if needs[2] or needs[6]:
-            gbeff = np.einsum("bdnl,bdl->bnl", gu, dd * xd)
-        if needs[2]:
-            gb = gbeff
+            # beff = b + table[dirs]: both share the gradient of beff
+            gb = np.einsum("bdnl,bdl->bnl", gh, dd * xd)
         if needs[3]:
             gc = np.einsum("bdl,bdnl->bnl", gy, h)
         if needs[4]:
-            # abar = exp(delta * A), A = -exp(a_log): dA/da_log = A
             ga_log = np.einsum("bdnl,bdl->dn", gdta, dd) * a
         if needs[5]:
             gskip = (gy * xd).sum(axis=(0, 2))
         if needs[6]:
             gtable = np.zeros_like(table.data)
-            np.add.at(gtable, dirs, gbeff.sum(axis=0).T)
+            np.add.at(gtable, dirs, gb.sum(axis=0).T)
         return (gx, gdelta, gb, gc, ga_log, gskip, gtable)
 
     ad.record(op, out, (x, delta, b_seq, c_seq, a_log, skip, table), vjp)
-    if return_hidden:
-        return out, h
-    return out
+    return out, h
 
 
 def selective_scan_sequential(inputs: ScanInputs, params: SsmParams, *,
                               return_hidden: bool = False):
-    """Direction-free scan evaluated as the literal recurrence."""
-    return _selective_scan("selective_scan_sequential", inputs, params,
-                           with_directions=False, parallel=False,
-                           return_hidden=return_hidden)
+    """Direction-free scan evaluated as the literal recurrence; with
+    return_hidden, also returns the (B, D, N, L) states."""
+    out, h = _selective_scan("selective_scan_sequential", inputs, params,
+                             with_directions=False, scan=_pair_scan_sequential)
+    return (out, h) if return_hidden else out
 
 
 def selective_scan_parallel(inputs: ScanInputs, params: SsmParams) -> Tensor:
     """Direction-free scan evaluated as the log-depth doubling scan."""
     return _selective_scan("selective_scan_parallel", inputs, params,
-                           with_directions=False, parallel=True)
+                           with_directions=False, scan=_pair_scan_doubling)[0]
 
 
 def direction_aware_scan(inputs: ScanInputs, params: SsmParams, *,
-                         parallel: bool = False, return_hidden: bool = False):
+                         parallel: bool = False) -> Tensor:
     """Scan with the per-direction additive B term, discretized exactly like
     B itself: the effective input matrix of token i is
     delta_i * (b_i + table[dirs[i]]). A zero table reproduces the plain scan
     bit for bit."""
+    scan = _pair_scan_doubling if parallel else _pair_scan_sequential
     return _selective_scan("direction_aware_scan", inputs, params,
-                           with_directions=True, parallel=parallel,
-                           return_hidden=return_hidden)
+                           with_directions=True, scan=scan)[0]
 
 
 def directional_scan_sum(features: Tensor, params: SsmParams,

@@ -5,10 +5,11 @@ carry phase=train with batch metrics; after the last step one phase=eval row
 records full-training-set metrics in eval mode (grad_norm 0.0), so the log's
 final entry is exactly what evaluate() reports on the same model and data.
 
-The checkpoint file always holds the most recent finite-loss state: it is
+The checkpoint file always holds the most recent finite state: it is
 written at initialization, every checkpoint_every steps and at the end. If
-the loss turns non-finite the run aborts with TrainingDiverged and the last
-written checkpoint stays on disk untouched.
+the loss or the gradient norm turns non-finite, the run aborts with
+TrainingDiverged before the update and the last written checkpoint stays on
+disk untouched.
 """
 
 from __future__ import annotations
@@ -29,8 +30,12 @@ from .optim import AdamW
 
 
 class TrainingDiverged(RuntimeError):
-    def __init__(self, step: int, loss: float, checkpoint_path: str):
-        super().__init__(f"non-finite loss ({loss}) at step {step}; last-good checkpoint "
+    """The loss, or the gradient norm when one is given, was non-finite."""
+
+    def __init__(self, step: int, loss: float, checkpoint_path: str,
+                 grad_norm: float | None = None):
+        bad = f"loss ({loss})" if grad_norm is None else f"gradient norm ({grad_norm})"
+        super().__init__(f"non-finite {bad} at step {step}; last-good checkpoint "
                          f"retained at {checkpoint_path}")
         self.step = step
 
@@ -95,6 +100,8 @@ def train(cfg: TrainConfig) -> TrainResult:
             opt.zero_grad()
             ad.backward(loss)
             gnorm = opt.grad_norm()
+            if not math.isfinite(gnorm):
+                raise TrainingDiverged(step, loss_val, cfg.checkpoint_path, grad_norm=gnorm)
             opt.step()
             acc = float((logits.data.argmax(axis=1) == labels).mean())
             log.writerow([step, "train", f"{loss_val:.6f}", f"{acc:.6f}", f"{gnorm:.6f}"])

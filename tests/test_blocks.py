@@ -190,6 +190,9 @@ class TestMdmBlock:
         for name, p in block.named_parameters():
             assert p.grad is not None, name
             assert np.any(p.grad != 0), name
+        # the four 2x2 paths use all five direction codes between them
+        table_grad = block.mamba.ssm.direction_table.grad
+        assert np.all(np.any(table_grad != 0, axis=1)), table_grad
 
     def test_gradients(self, rng):
         block = self._block(channels=2, grid=(2, 2), dtype=F64).eval()

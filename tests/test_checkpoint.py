@@ -2,12 +2,14 @@
 kind of damage (truncation, flipped bytes, wrong magic, wrong version,
 renamed entries, trailing garbage)."""
 
+import errno
 import struct
 import zlib
 
 import numpy as np
 import pytest
 
+from vcmamba import checkpoint
 from vcmamba.autodiff import Tensor
 from vcmamba.checkpoint import (MAGIC, VERSION, CheckpointError, CheckpointFormatError,
                                 CheckpointIntegrityError, CheckpointVersionError,
@@ -145,3 +147,44 @@ class TestRejection:
 
     def test_magic_constant(self):
         assert MAGIC == b"VCMB" and VERSION == 1
+
+
+class TestAtomicSave:
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(VCMamba(SPEC, seed=0), str(ckpt))
+        good = ckpt.read_bytes()
+
+        class DiskFullFile:
+            """Writes half of the first chunk, then fails like a full disk."""
+
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.f.write(data[:len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        real_open = open
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            f = real_open(file, mode, *args, **kwargs)
+            return DiskFullFile(f) if "w" in mode else f
+
+        monkeypatch.setattr(checkpoint, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(scrambled_model(), str(ckpt))
+        monkeypatch.undo()
+
+        assert ckpt.read_bytes() == good
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+        loaded = load_checkpoint(str(ckpt))
+        fresh = VCMamba(SPEC, seed=0)
+        for (_, p1), (_, p2) in zip(fresh.named_parameters(), loaded.named_parameters()):
+            np.testing.assert_array_equal(p1.data, p2.data)

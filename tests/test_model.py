@@ -6,6 +6,8 @@ counters cannot be graded against themselves.
 """
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -159,6 +161,25 @@ class TestDeterminism:
         assert l1 == l2 and g1.keys() == g2.keys()
         for name in g1:
             np.testing.assert_array_equal(g1[name], g2[name])
+
+
+class TestStepGraphLifetime:
+    def test_backward_frees_the_tape_without_the_cycle_collector(self, rng):
+        # a recorded graph is a Tensor._tape -> Tape -> node.out cycle;
+        # backward must break it so a step's graph dies by reference counting
+        model = VCMamba(GRADFLOW, seed=0)
+        x = Tensor(rng.normal(size=(1, 3, 64, 64)).astype(np.float32))
+        gc.disable()
+        try:
+            with ad.Tape() as tape:
+                loss = ad.softmax_cross_entropy(model(x), np.array([3]))
+            ad.backward(loss)
+            alive = weakref.ref(tape)
+            del tape, loss
+            assert alive() is None
+        finally:
+            gc.enable()
+        assert all(p.grad is not None for _, p in model.named_parameters())
 
 
 class TestInitBehavior:

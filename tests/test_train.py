@@ -7,6 +7,7 @@ exactly what evaluate() reports.
 """
 
 import csv
+import importlib
 import math
 
 import numpy as np
@@ -22,6 +23,8 @@ from vcmamba.optim import AdamW
 from vcmamba.train import TrainingDiverged, evaluate, train
 
 F64 = np.float64
+# the package re-exports train(), which hides the module of the same name
+train_module = importlib.import_module("vcmamba.train")
 
 
 def small_cfg(tmp_path, **overrides):
@@ -198,6 +201,38 @@ class TestTrainLoop:
         assert "checkpoint" in str(err.value)
         # retained file is the step-2 state: identical to a clean 2-step run
         assert open(cfg.checkpoint_path, "rb").read() == good_bytes
+
+    def test_nonfinite_gradient_is_never_applied(self, tmp_path, monkeypatch):
+        # a NaN gradient with a finite loss at a checkpoint step must abort
+        # before the update, so the last-good checkpoint holds no NaN
+        models = []
+
+        def build(*args, **kwargs):
+            models.append(VCMamba(*args, **kwargs))
+            return models[-1]
+
+        real_backward = ad.backward
+        calls = {"n": 0}
+
+        def poisoned_backward(loss):
+            real_backward(loss)
+            calls["n"] += 1
+            if calls["n"] == 2:
+                models[0].stem.conv1.weight.grad[0, 0, 0, 0] = np.nan
+
+        monkeypatch.setattr(train_module, "VCMamba", build)
+        monkeypatch.setattr(ad, "backward", poisoned_backward)
+        cfg = small_cfg(tmp_path, steps=4, checkpoint_every=2)
+        with pytest.raises(TrainingDiverged, match="gradient") as err:
+            train(cfg)
+        assert err.value.step == 2
+        monkeypatch.undo()
+        saved = load_checkpoint(cfg.checkpoint_path)
+        for name, p in saved.named_parameters():
+            assert np.all(np.isfinite(p.data)), name
+        init = VCMamba(get_preset("nano"), seed=cfg.seed)
+        for (_, p1), (_, p2) in zip(init.named_parameters(), saved.named_parameters()):
+            np.testing.assert_array_equal(p1.data, p2.data)
 
     def test_invalid_config_rejected_before_work(self, tmp_path):
         with pytest.raises(ValueError):

@@ -362,7 +362,8 @@ def silu(a: Tensor) -> Tensor:
 
 
 def softplus(a: Tensor) -> Tensor:
-    """log(1 + exp(x)), computed stably; underflows to +0 below x ~ -745."""
+    """log(1 + exp(x)), computed stably; exactly +0 for x <= about -104 in
+    float32 (about -745 in float64)."""
     x = a.data
     out = Tensor(np.logaddexp(0.0, x), dtype=a.dtype)
     sig = expit(x)

@@ -144,7 +144,7 @@ def dense_transition_oracle(inputs: ScanInputs, params: SsmParams) -> np.ndarray
     dirs = np.asarray(inputs.dirs)
     bsz, d_inner, length = x.shape
     abar = np.exp(delta[:, :, None, :] * a[None, :, :, None])
-    beff = b + table[dirs].T[None]
+    beff = b + np.moveaxis(table[dirs], -1, -2)         # dirs (L,) or per row (B, L)
     u = delta[:, :, None, :] * beff[:, None, :, :] * x[:, :, None, :]
     y = np.empty_like(x)
     for i in range(length):
@@ -159,7 +159,9 @@ def dense_transition_oracle(inputs: ScanInputs, params: SsmParams) -> np.ndarray
 
 def check_direction_oracle(trials: int = 50) -> CheckResult:
     """Direction-aware kernel against the dense composition oracle (float64,
-    1e-6) and bitwise equality with the plain kernel at zero table."""
+    1e-6) and bitwise equality with the plain kernel at zero table. Every
+    other trial gives each batch row its own codes, (B, L), the form the
+    model's four-path call uses."""
     rng = np.random.default_rng(13)
     worst = 0.0
     for t in range(trials):
@@ -167,6 +169,9 @@ def check_direction_oracle(trials: int = 50) -> CheckResult:
         d = int(rng.integers(1, 7))
         n = int(rng.integers(1, 9))
         inputs, params = random_scan_instance(rng, length, d, n, 2, np.float64, with_dirs=True)
+        if t % 2:
+            inputs.dirs = np.stack([inputs.dirs, rng.permutation(inputs.dirs)])
+            inputs.dirs[:, 0] = Direction.BEGIN
         y = direction_aware_scan(inputs, params)
         ref = dense_transition_oracle(inputs, params)
         err = float(np.abs(y.data - ref).max())

@@ -10,14 +10,14 @@ the first token gets the dedicated begin code.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import lru_cache
-from typing import IO
+from typing import IO, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, reshape, take_last
+from .autodiff import Tensor, record, reshape
 
 
 class PathId(str, Enum):
@@ -54,16 +54,21 @@ class ScanPath:
     width: int
     order: np.ndarray   # (L,) int64, a permutation of range(H*W)
     dirs: np.ndarray    # (L,) int64 direction codes, dirs[0] == BEGIN
+    _inv: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        inv = np.empty_like(self.order)
+        inv[self.order] = np.arange(self.order.size)
+        inv.setflags(write=False)
+        object.__setattr__(self, "_inv", inv)
 
     @property
     def length(self) -> int:
         return self.height * self.width
 
     def inverse(self) -> np.ndarray:
-        """inv with inv[order[k]] = k, i.e. the scatter indices."""
-        inv = np.empty_like(self.order)
-        inv[self.order] = np.arange(self.order.size)
-        return inv
+        """inv with inv[order[k]] = k, i.e. the scatter indices (built once)."""
+        return self._inv
 
 
 def _snake_rows(height: int, width: int) -> np.ndarray:
@@ -116,21 +121,52 @@ def path_table(height: int, width: int) -> tuple[ScanPath, ...]:
     return tuple(build_path(height, width, pid) for pid in PathId)
 
 
-def gather_tokens(x: Tensor, path: ScanPath) -> Tensor:
-    """(B, D, H, W) feature map -> (B, D, L) token sequence in path order."""
+def _take_paths(a: np.ndarray, orders: Sequence[np.ndarray]) -> np.ndarray:
+    """(B, D, T) -> (P*B, D, L): rows p*B..(p+1)*B-1 read a in orders[p]."""
+    taken = np.take(a, np.stack(orders), axis=-1)                  # (B, D, P, L)
+    b, d, p, l = taken.shape
+    return np.moveaxis(taken, 2, 0).reshape(p * b, d, l)
+
+
+def _sum_paths(a: np.ndarray, inverses: Sequence[np.ndarray]) -> np.ndarray:
+    """Adjoint of _take_paths when every order is a permutation:
+    (P*B, D, L) -> (B, D, T), row block p read in inverses[p], blocks summed
+    in path order. A permutation has no repeated index, so no scatter-add."""
+    parts = np.split(a, len(inverses))
+    total = parts[0][..., inverses[0]]
+    for part, inv in zip(parts[1:], inverses[1:]):
+        total = total + part[..., inv]
+    return total
+
+
+def gather_tokens(x: Tensor, paths: ScanPath | Sequence[ScanPath]) -> Tensor:
+    """(B, D, H, W) feature map -> (P*B, D, L) token sequences, one block of
+    B rows per path in path order (P = 1 for a single path)."""
+    paths = (paths,) if isinstance(paths, ScanPath) else tuple(paths)
     b, d, h, w = x.shape
-    if (h, w) != (path.height, path.width):
+    if any((h, w) != (p.height, p.width) for p in paths):
         raise ValueError(f"feature map {h}x{w} does not match path grid "
-                         f"{path.height}x{path.width}")
-    return take_last(reshape(x, (b, d, h * w)), path.order)
+                         f"{paths[0].height}x{paths[0].width}")
+    flat = reshape(x, (b, d, h * w))
+    out = Tensor(_take_paths(flat.data, [p.order for p in paths]), dtype=x.dtype)
+    inverses = [p.inverse() for p in paths]
+    record("gather_tokens", out, (flat,), lambda g: (_sum_paths(g, inverses),))
+    return out
 
 
-def scatter_tokens(tokens: Tensor, path: ScanPath) -> Tensor:
-    """(B, D, L) tokens in path order -> (B, D, H, W) feature map."""
-    b, d, l = tokens.shape
-    if l != path.length:
-        raise ValueError(f"token count {l} does not match path length {path.length}")
-    return reshape(take_last(tokens, path.inverse()), (b, d, path.height, path.width))
+def scatter_tokens(tokens: Tensor, paths: ScanPath | Sequence[ScanPath]) -> Tensor:
+    """(P*B, D, L) tokens, one block of B rows per path in path order ->
+    (B, D, H, W) feature map: each path's block put back in place, summed."""
+    paths = (paths,) if isinstance(paths, ScanPath) else tuple(paths)
+    pb, d, l = tokens.shape
+    if any(l != p.length for p in paths):
+        raise ValueError(f"token count {l} does not match path length {paths[0].length}")
+    if pb % len(paths):
+        raise ValueError(f"{pb} token rows do not split into {len(paths)} paths")
+    out = Tensor(_sum_paths(tokens.data, [p.inverse() for p in paths]), dtype=tokens.dtype)
+    orders = [p.order for p in paths]
+    record("scatter_tokens", out, (tokens,), lambda g: (_take_paths(g, orders),))
+    return reshape(out, (pb // len(paths), d, paths[0].height, paths[0].width))
 
 
 def dump_csv(path: ScanPath, out: IO[str]) -> None:

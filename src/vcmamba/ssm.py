@@ -6,22 +6,22 @@ first-order Euler rule on B:
 
     abar_i = exp(delta_i * A)          bbar_i = delta_i * b_i
 
-A is diagonal, negative real: A = -exp(a_log), so abar lies in (0, 1) for
-positive delta and the recurrence h_i = abar_i h_{i-1} + bbar_i x_i is
-contractive. B, C and delta are input dependent (selective), produced per
-token by selective_projection. The direction-aware form adds a learned
-per-direction term to B before discretization, so the effective input matrix
-of token i is delta_i * (b_i + table[dirs[i]]).
+A = -exp(a_log) is diagonal and negative, so for delta >= 0 abar lies in
+(0, 1] and h_i = abar_i h_{i-1} + bbar_i x_i is contractive; a zero delta
+holds the state. B, C and delta are selective: selective_projection makes them
+per token. The direction-aware form adds a learned per-direction term to B:
+token i's effective input matrix is delta_i * (b_i + table[dirs[i]]).
 
-The scan runs either as the literal sequential recurrence or as a log-depth
-pairwise (recursive doubling) scan over the associative composition
-(a2, u2) o (a1, u1) = (a1 a2, a2 u1 + u2). Both are exposed and contract
-tested against each other. The whole scan is one tape op with a hand-derived
-adjoint: gh_i = gy_i c_i + abar_{i+1} gh_{i+1}, the same recurrence run in
-reverse time by the same routine as the forward scan.
-
-Array layout is (B, D, N, L) with the scan axis last: batch, inner channels,
-state dimension, sequence.
+Operands are (B, D, L); the kernel works scan axis first, (L, B, N, D). The
+literal route discretizes, updates and reads out one token per step, so its
+forward builds no (L, B, N, D) array. The scan is one tape op whose adjoint
+keeps nothing from the forward: it recomputes h, then solves gh_i = gy_i c_i
++ abar_{i+1} gh_{i+1} with the route's pair-scan routine on reversed time.
+The alternate route, a log-depth doubling scan over the associative pair
+composition, is the oracle the literal one is tested against; the model does
+not call it. A Mamba block makes one projection and one scan call: raster
+tokens are projected once, gathered into all four path orders with the paths
+folded into the batch axis, scanned, scattered back and summed.
 """
 
 from __future__ import annotations
@@ -40,10 +40,10 @@ N_DIRECTIONS = len(Direction)
 
 
 class NonFiniteStateError(RuntimeError):
-    """A scan produced a non-finite state or output; names the first bad token."""
+    """Non-finite scan delta, state or output, a runtime fault; names the first bad token."""
 
-    def __init__(self, token_index: int):
-        super().__init__(f"scan produced a non-finite value at token index {token_index}")
+    def __init__(self, token_index: int, what: str = "value"):
+        super().__init__(f"scan produced a non-finite {what} at token index {token_index}")
         self.token_index = token_index
 
 
@@ -95,7 +95,8 @@ class SsmParams(Module):
 @dataclass
 class ScanInputs:
     """Per-token scan operands. x, delta: (B, D, L); b_seq, c_seq: (B, N, L);
-    dirs: (L,) integer direction codes or None for direction-free scans."""
+    dirs: integer direction codes, (L,) shared by every row or (B, L) per
+    row, or None for direction-free scans."""
 
     x: Tensor
     delta: Tensor
@@ -107,8 +108,9 @@ class ScanInputs:
 def selective_projection(x_seq: Tensor, params: SsmParams) -> ScanInputs:
     """Produce per-token delta, B and C from token features x_seq (B, D, L).
 
-    delta = softplus(dt_up @ (dt_down @ x) + dt_bias) is strictly positive;
-    b_seq and c_seq are plain linear maps into the state dimension.
+    delta = softplus(dt_up @ (dt_down @ x) + dt_bias) is non-negative (exactly
+    0 in float32 below about -104); b_seq and c_seq are plain linear maps into
+    the state dimension.
     """
     if x_seq.ndim != 3 or x_seq.shape[1] != params.d_inner:
         raise ShapeMismatch("selective_projection",
@@ -121,6 +123,13 @@ def selective_projection(x_seq: Tensor, params: SsmParams) -> ScanInputs:
     return ScanInputs(x=x_seq, delta=delta, b_seq=b_seq, c_seq=c_seq)
 
 
+def _discretize(delta: np.ndarray, a_t: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Token-wise rule on the trailing axes: delta (..., D), A^T (N, D),
+    b (..., N) -> abar = exp(delta * A), bbar = delta * b, both (..., N, D)."""
+    abar = delta[..., None, :] * a_t
+    return np.exp(abar, out=abar), delta[..., None, :] * b[..., None]
+
+
 def discretize(delta: np.ndarray, a_log: np.ndarray,
                b_seq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Zero-order hold on A, first-order Euler on B.
@@ -128,38 +137,31 @@ def discretize(delta: np.ndarray, a_log: np.ndarray,
     delta (B, D, L), a_log (D, N), b_seq (B, N, L) -> abar, bbar (B, D, N, L)
     with abar = exp(delta * A), A = -exp(a_log), and bbar = delta * b.
     """
-    a = -np.exp(a_log)                                              # (D, N)
-    abar = np.exp(delta[:, :, None, :] * a[None, :, :, None])       # (B, D, N, L)
-    bbar = delta[:, :, None, :] * b_seq[:, None, :, :]
-    return abar, bbar
+    abar, bbar = _discretize(np.moveaxis(delta, -1, 0), -np.exp(a_log.T), np.moveaxis(b_seq, -1, 0))
+    return abar.transpose(1, 3, 2, 0), bbar.transpose(1, 3, 2, 0)
 
 
 def _pair_scan_sequential(abar: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """h_i = abar_i * h_{i-1} + u_i with h_{-1} = 0, literal loop over L."""
-    h = np.empty_like(u)
-    acc = np.zeros(u.shape[:-1], dtype=u.dtype)
-    for i in range(u.shape[-1]):
-        acc = abar[..., i] * acc + u[..., i]
-        h[..., i] = acc
+    """h_i = abar_i * h_{i-1} + u_i with h_{-1} = 0, literal loop over the
+    leading (scan) axis."""
+    h, acc = np.empty_like(u), 0.0
+    for i in range(len(u)):
+        h[i] = acc = abar[i] * acc + u[i]
     return h
 
 
 def _pair_scan_doubling(abar: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Same recurrence evaluated as a log-depth pairwise scan.
-
-    Recursive doubling over the associative pair composition: after round s,
-    position i holds the composition of elements (i - 2s, i]. Handles any L,
-    power of two or not, in ceil(log2 L) rounds of vectorized updates.
-    """
+    """Same recurrence by recursive doubling over the associative pair
+    composition (a2, u2) o (a1, u1) = (a1 a2, a2 u1 + u2): after round s,
+    position i holds elements (i - 2s, i]; any L, in ceil(log2 L) rounds."""
     a = abar.copy()
     h = u.copy()
-    length = u.shape[-1]
     shift = 1
-    while shift < length:
+    while shift < len(u):
         # combine each position with the one `shift` steps earlier;
         # both right-hand sides read pre-round values
-        h[..., shift:] = h[..., shift:] + a[..., shift:] * h[..., :-shift]
-        a[..., shift:] = a[..., shift:] * a[..., :-shift]
+        h[shift:] = h[shift:] + a[shift:] * h[:-shift]
+        a[shift:] = a[shift:] * a[:-shift]
         shift *= 2
     return h
 
@@ -169,8 +171,7 @@ def _check_scan_operands(op: str, inputs: ScanInputs, params: SsmParams,
     x, delta, b_seq, c_seq = inputs.x, inputs.delta, inputs.b_seq, inputs.c_seq
     if x.ndim != 3:
         raise ShapeMismatch(op, f"x must be (B, D, L), got {x.shape}")
-    bsz, d, length = x.shape
-    n = params.n_state
+    (bsz, d, length), n = x.shape, params.n_state
     if d != params.d_inner:
         raise ShapeMismatch(op, f"x has {d} channels but params expect {params.d_inner}")
     if delta.shape != (bsz, d, length):
@@ -178,102 +179,103 @@ def _check_scan_operands(op: str, inputs: ScanInputs, params: SsmParams,
     if b_seq.shape != (bsz, n, length) or c_seq.shape != (bsz, n, length):
         raise ShapeMismatch(op, f"b_seq/c_seq must be ({bsz}, {n}, {length}), got "
                                 f"{b_seq.shape} and {c_seq.shape}")
-    if not np.all(delta.data > 0):
-        raise ValueError(f"{op}: delta must be strictly positive")
+    if np.any(delta.data < 0):
+        raise ValueError(f"{op}: delta must be non-negative")
     if need_dirs:
         dirs = inputs.dirs
         if dirs is None:
             raise ValueError(f"{op}: direction codes are required")
         dirs = np.asarray(dirs)
-        if dirs.shape != (length,) or not np.issubdtype(dirs.dtype, np.integer):
-            raise ShapeMismatch(op, f"dirs must be ({length},) integers, got {dirs.shape} "
-                                    f"{dirs.dtype}")
+        if dirs.shape not in ((length,), (bsz, length)) or not np.issubdtype(dirs.dtype, np.integer):
+            raise ShapeMismatch(op, f"dirs must be ({length},) or ({bsz}, {length}) integers, "
+                                    f"got {dirs.shape} {dirs.dtype}")
         if dirs.size:
-            if dirs[0] != Direction.BEGIN:
-                raise ValueError(f"{op}: dirs[0] must be the begin code ({int(Direction.BEGIN)})")
+            if np.any(dirs[..., 0] != Direction.BEGIN):
+                raise ValueError(f"{op}: dirs[..., 0] must be the begin code ({Direction.BEGIN:d})")
             if dirs.min() < 0 or dirs.max() >= N_DIRECTIONS:
                 raise ValueError(f"{op}: direction codes must lie in [0, {N_DIRECTIONS})")
 
 
 def _selective_scan(op: str, inputs: ScanInputs, params: SsmParams, *,
                     with_directions: bool, scan):
-    """Shared kernel body. Computes y = C h + skip_gain * x where h follows
-    h_i = abar_i h_{i-1} + delta_i (b_i [+ table[dirs_i]]) x_i, evaluates the
-    recurrence and its adjoint with the same pair-scan routine, records one
-    fused node on the tape, and returns (y, h)."""
+    """Shared kernel body: y = C h + skip_gain * x with h_i = abar_i h_{i-1}
+    + delta_i (b_i [+ table[dirs_i]]) x_i as one fused tape node. Returns y and
+    a function recomputing (abar, h), both (L, B, N, D), by the route's scan."""
     _check_scan_operands(op, inputs, params, need_dirs=with_directions)
     x, delta, b_seq, c_seq = inputs.x, inputs.delta, inputs.b_seq, inputs.c_seq
     a_log, skip, table = params.a_log, params.skip_gain, params.direction_table
+    bad = ~np.isfinite(delta.data).all(axis=(0, 1))                 # (L,)
+    if bad.any():
+        raise NonFiniteStateError(int(np.argmax(bad)), "delta")
 
-    xd, dd, bd, cd = x.data, delta.data, b_seq.data, c_seq.data
+    # scan axis first, channels last: (L, B, D) and (L, B, N)
+    xt, dt, beff, ct = (np.ascontiguousarray(np.moveaxis(v.data, -1, 0))
+                        for v in (x, delta, b_seq, c_seq))
+    dirs = None
     if with_directions:
-        dirs = np.asarray(inputs.dirs)
-        beff = bd + table.data[dirs].T[None, :, :]          # (B, N, L)
-    else:
-        dirs = None
-        beff = bd
+        dirs = np.broadcast_to(inputs.dirs, (x.shape[0], x.shape[2])).T   # (L, B)
+        beff = beff + table.data[dirs]
+    a_t = np.ascontiguousarray(-np.exp(a_log.data.T))               # A^T, (N, D)
+
+    def states():
+        abar, bbar = _discretize(dt, a_t, beff)
+        bbar *= xt[:, :, None, :]
+        return abar, scan(abar, bbar)
 
     # numpy warnings are redundant here: the explicit check below raises a
     # typed error naming the first bad token
     with np.errstate(over="ignore", invalid="ignore"):
-        abar, bbar = discretize(dd, a_log.data, beff)           # (B, D, N, L)
-        h = scan(abar, bbar * xd[:, :, None, :])                # (B, D, N, L)
-        y = np.einsum("bnl,bdnl->bdl", cd, h) + skip.data[None, :, None] * xd
-
-    bad = ~(np.isfinite(h).all(axis=(0, 1, 2)) & np.isfinite(y).all(axis=(0, 1)))   # (L,)
+        if scan is _pair_scan_doubling:
+            y = np.einsum("lbn,lbnd->lbd", ct, states()[1])
+        else:  # literal route, one token per step: the working set is one (B, N, D) state
+            y, h = np.empty(xt.shape, np.result_type(dt, a_t, beff, xt, ct)), 0.0
+            for i in range(len(xt)):
+                abar, bbar = _discretize(dt[i], a_t, beff[i])
+                h = abar * h + bbar * xt[i][:, None, :]
+                y[i] = np.einsum("bn,bnd->bd", ct[i], h)
+        y += skip.data * xt
+    # a non-finite state entry makes its token's output non-finite
+    bad = ~np.isfinite(y).all(axis=(1, 2))                          # (L,)
     if bad.any():
         raise NonFiniteStateError(int(np.argmax(bad)))
 
-    out = Tensor(y, dtype=y.dtype)
-    needs = (x.requires_grad, delta.requires_grad, b_seq.requires_grad,
-             c_seq.requires_grad, a_log.requires_grad, skip.requires_grad,
-             with_directions and table.requires_grad)
+    out = Tensor(np.moveaxis(y, 0, -1), dtype=y.dtype)
 
     def vjp(gy):
+        gy = np.moveaxis(gy, -1, 0)                                 # (L, B, D)
+        abar, h = states()
         # gh_i = gy_i c_i + abar_{i+1} gh_{i+1} is the forward recurrence on
         # reversed time with abar shifted one step (the first reversed factor
         # meets the zero initial state), so the forward routine solves it
-        t = gy[:, :, None, :] * cd[:, None, :, :]           # (B, D, N, L)
-        a_rev = np.concatenate([np.ones_like(abar[..., :1]), abar[..., :0:-1]], axis=-1)
-        gh = scan(a_rev, t[..., ::-1])[..., ::-1].copy()
-        hprev = np.concatenate([np.zeros_like(h[..., :1]), h[..., :-1]], axis=-1)
-        gabar = gh * hprev
-        gdta = gabar * abar                                 # d/d(delta * A)
+        gh = scan(np.concatenate([np.ones_like(abar[:1]), abar[:0:-1]]),
+                  (gy[:, :, None, :] * ct[..., None])[::-1])[::-1]
+        gdta = abar                                    # d/d(delta * A), built in place
+        gdta[0] = 0.0
+        gdta[1:] *= gh[1:] * h[:-1]
+        gdx = (gh * beff[..., None]).sum(axis=2)                    # d/d(delta * x)
+        # beff = b + table[dirs]: b and the table share the gradient of beff
+        gb = np.einsum("lbnd,lbd->lbn", gh, dt * xt)
+        gtable = None if dirs is None else np.zeros_like(table.data)
+        if dirs is not None:
+            np.add.at(gtable, dirs, gb)                             # codes repeat
         # abar = exp(delta * A), A = -exp(a_log): dA/da_log = A
-        a = -np.exp(a_log.data)
-
-        gx = gskip = gdelta = gb = gc = gtable = ga_log = None
-        if needs[0] or needs[1]:
-            gdx = (gh * beff[:, None, :, :]).sum(axis=2)    # d/d(delta * x), (B, D, L)
-        if needs[0]:
-            gx = gdx * dd + gy * skip.data[None, :, None]
-        if needs[1]:
-            gdelta = gdx * xd + np.einsum("bdnl,dn->bdl", gdta, a)
-        if needs[2] or needs[6]:
-            # beff = b + table[dirs]: both share the gradient of beff
-            gb = np.einsum("bdnl,bdl->bnl", gh, dd * xd)
-        if needs[3]:
-            gc = np.einsum("bdl,bdnl->bnl", gy, h)
-        if needs[4]:
-            ga_log = np.einsum("bdnl,bdl->dn", gdta, dd) * a
-        if needs[5]:
-            gskip = (gy * xd).sum(axis=(0, 2))
-        if needs[6]:
-            gtable = np.zeros_like(table.data)
-            np.add.at(gtable, dirs, gb.sum(axis=0).T)
-        return (gx, gdelta, gb, gc, ga_log, gskip, gtable)
+        ga_log = (np.einsum("lbnd,lbd->nd", gdta, dt) * a_t).T
+        grads = (gdx * dt + gy * skip.data, gdx * xt + np.einsum("lbnd,nd->lbd", gdta, a_t),
+                 gb, np.einsum("lbd,lbnd->lbn", gy, h))
+        return (*(np.moveaxis(g, 0, -1) for g in grads), ga_log,
+                (gy * xt).sum(axis=(0, 1)), gtable)
 
     ad.record(op, out, (x, delta, b_seq, c_seq, a_log, skip, table), vjp)
-    return out, h
+    return out, states
 
 
 def selective_scan_sequential(inputs: ScanInputs, params: SsmParams, *,
                               return_hidden: bool = False):
-    """Direction-free scan evaluated as the literal recurrence; with
-    return_hidden, also returns the (B, D, N, L) states."""
-    out, h = _selective_scan("selective_scan_sequential", inputs, params,
-                             with_directions=False, scan=_pair_scan_sequential)
-    return (out, h) if return_hidden else out
+    """Direction-free scan evaluated as the literal recurrence; with return_hidden,
+    also returns the (B, D, N, L) states, recomputed as the backward does."""
+    out, states = _selective_scan("selective_scan_sequential", inputs, params,
+                                  with_directions=False, scan=_pair_scan_sequential)
+    return (out, states()[1].transpose(1, 3, 2, 0)) if return_hidden else out
 
 
 def selective_scan_parallel(inputs: ScanInputs, params: SsmParams) -> Tensor:
@@ -284,10 +286,9 @@ def selective_scan_parallel(inputs: ScanInputs, params: SsmParams) -> Tensor:
 
 def direction_aware_scan(inputs: ScanInputs, params: SsmParams, *,
                          parallel: bool = False) -> Tensor:
-    """Scan with the per-direction additive B term, discretized exactly like
-    B itself: the effective input matrix of token i is
-    delta_i * (b_i + table[dirs[i]]). A zero table reproduces the plain scan
-    bit for bit."""
+    """Scan with the per-direction additive B term, discretized exactly like B
+    itself: token i's effective input matrix is delta_i * (b_i + table[dirs[i]]).
+    A zero table reproduces the plain scan bit for bit."""
     scan = _pair_scan_doubling if parallel else _pair_scan_sequential
     return _selective_scan("direction_aware_scan", inputs, params,
                            with_directions=True, scan=scan)[0]
@@ -295,23 +296,22 @@ def direction_aware_scan(inputs: ScanInputs, params: SsmParams, *,
 
 def directional_scan_sum(features: Tensor, params: SsmParams,
                          paths: Sequence[ScanPath]) -> Tensor:
-    """Run one direction-aware scan per path over a (B, D, H, W) map and sum
-    the rescattered results (the pre-normalization mix)."""
-    total = None
-    for path in paths:
-        tokens = gather_tokens(features, path)
-        inputs = selective_projection(tokens, params)
-        inputs.dirs = path.dirs
-        y = direction_aware_scan(inputs, params)
-        spread = scatter_tokens(y, path)
-        total = spread if total is None else ad.add(total, spread)
-    return total
+    """Scan every path of a (B, D, H, W) map in one call, paths folded into
+    the batch, and sum the rescattered results (the pre-normalization mix).
+    The projection is tokenwise, so it runs once, in raster order."""
+    bsz, d, h, w = features.shape
+    proj = selective_projection(ad.reshape(features, (bsz, d, h * w)), params)
+    folded = [gather_tokens(ad.reshape(t, (bsz, t.shape[1], h, w)), paths)
+              for t in (proj.delta, proj.b_seq, proj.c_seq)]
+    dirs = np.repeat(np.stack([path.dirs for path in paths]), bsz, axis=0)
+    inputs = ScanInputs(gather_tokens(features, paths), *folded, dirs=dirs)
+    return scatter_tokens(direction_aware_scan(inputs, params), paths)
 
 
 def multi_directional_mix(features: Tensor, params: SsmParams, paths: Sequence[ScanPath],
                           ln_gamma: Tensor, ln_beta: Tensor, *, eps: float = 1e-5) -> Tensor:
-    """Four-path scan mix: gather, project, scan, scatter, sum, then layer
-    norm over the channel axis at every spatial position."""
+    """Four-path scan mix (directional_scan_sum), then layer norm over the
+    channel axis at every spatial position."""
     if not paths:
         raise ValueError("multi_directional_mix needs at least one path")
     mixed = directional_scan_sum(features, params, paths)

@@ -7,9 +7,10 @@ final entry is exactly what evaluate() reports on the same model and data.
 
 The checkpoint file always holds the most recent finite state: it is
 written at initialization, every checkpoint_every steps and at the end. If
-the loss or the gradient norm turns non-finite, the run aborts with
-TrainingDiverged before the update and the last written checkpoint stays on
-disk untouched.
+the loss or the gradient norm turns non-finite, or the forward or backward
+pass meets a non-finite scan state (NonFiniteStateError), the run aborts
+with TrainingDiverged before the update and the last written checkpoint
+stays on disk untouched.
 """
 
 from __future__ import annotations
@@ -27,14 +28,18 @@ from .config import TrainConfig
 from .data import ToyDataset
 from .model import VCMamba, get_preset
 from .optim import AdamW
+from .ssm import NonFiniteStateError
 
 
 class TrainingDiverged(RuntimeError):
-    """The loss, or the gradient norm when one is given, was non-finite."""
+    """The loss, the gradient norm when one is given, or a scan state (the
+    NonFiniteStateError given as state) was non-finite."""
 
     def __init__(self, step: int, loss: float, checkpoint_path: str,
-                 grad_norm: float | None = None):
+                 grad_norm: float | None = None, state: NonFiniteStateError | None = None):
         bad = f"loss ({loss})" if grad_norm is None else f"gradient norm ({grad_norm})"
+        if state is not None:
+            bad = f"model state ({state})"
         super().__init__(f"non-finite {bad} at step {step}; last-good checkpoint "
                          f"retained at {checkpoint_path}")
         self.step = step
@@ -89,16 +94,19 @@ def train(cfg: TrainConfig) -> TrainResult:
         for step in range(1, cfg.steps + 1):
             idx = batch_rng.integers(0, len(dataset), size=cfg.batch_size)
             imgs, labels = dataset.images[idx], dataset.labels[idx]
-            with Tape():
-                logits = model(Tensor(imgs))
-                loss = ad.softmax_cross_entropy(logits, labels)
-            loss_val = loss.item()
-            if not math.isfinite(loss_val):
-                raise TrainingDiverged(step, loss_val, cfg.checkpoint_path)
-            if step == 1:
-                first_loss = loss_val
-            opt.zero_grad()
-            ad.backward(loss)
+            try:
+                with Tape():
+                    logits = model(Tensor(imgs))
+                    loss = ad.softmax_cross_entropy(logits, labels)
+                loss_val = loss.item()
+                if not math.isfinite(loss_val):
+                    raise TrainingDiverged(step, loss_val, cfg.checkpoint_path)
+                if step == 1:
+                    first_loss = loss_val
+                opt.zero_grad()
+                ad.backward(loss)
+            except NonFiniteStateError as exc:
+                raise TrainingDiverged(step, math.nan, cfg.checkpoint_path, state=exc) from exc
             gnorm = opt.grad_norm()
             if not math.isfinite(gnorm):
                 raise TrainingDiverged(step, loss_val, cfg.checkpoint_path, grad_norm=gnorm)

@@ -129,6 +129,19 @@ class TestMambaBranch:
         with pytest.raises(ValueError):
             MambaBranch(4, (0, 2), rng=make_rng())
 
+    def test_one_projection_and_one_scan_per_forward(self, rng, monkeypatch):
+        import vcmamba.ssm as ssm
+
+        calls = {"selective_projection": 0, "direction_aware_scan": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(ssm, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(ssm, name, counted)
+        branch = MambaBranch(4, (4, 4), n_state=4, rng=make_rng()).eval()
+        branch(Tensor(rng.normal(size=(2, 4, 4, 4)).astype(np.float32)))
+        assert calls == {"selective_projection": 1, "direction_aware_scan": 1}
+
 
 class TestMdmBlock:
     def _block(self, channels=2, grid=(2, 2), dtype=np.float32, seed=0):

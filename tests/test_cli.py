@@ -8,11 +8,13 @@ failures (divergence, unexpected crashes).
 import csv
 import io
 
+import numpy as np
 import pytest
 
 import vcmamba.cli as cli
 from vcmamba.cli import main
 from vcmamba.model import PRESETS, VCMamba, count_macs, count_params
+from vcmamba.optim import AdamW
 from vcmamba.train import TrainingDiverged
 
 
@@ -133,6 +135,29 @@ n_samples = 16
         monkeypatch.setattr(cli, "train", blow_up)
         assert main(["train", "--config", str(cfg)]) == 2
         assert "non-finite loss" in capsys.readouterr().err
+
+    def test_nonfinite_scan_state_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a NaN delta reached through the weights is a runtime failure, not bad input
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(f"""\
+[train]
+batch_size = 4
+steps = 3
+checkpoint = {tmp_path / "m.ckpt"}
+log = {tmp_path / "log.csv"}
+
+[data]
+n_samples = 16
+""")
+        real_step = AdamW.step
+
+        def poisoned_step(opt):
+            real_step(opt)
+            dict(opt.params)["stage4.blocks.0.mamba.ssm.dt_bias"].data[:] = np.nan
+
+        monkeypatch.setattr(AdamW, "step", poisoned_step)
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "non-finite model state" in capsys.readouterr().err
 
     def test_unexpected_error_exit_code(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "t.cfg"

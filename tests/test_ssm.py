@@ -162,22 +162,23 @@ class TestDiscretize:
 
 
 class TestPairScanCores:
+    # the cores scan along the leading axis
     def test_running_sum(self):
-        a = np.ones((1, 3))
-        u = np.array([[1.0, 2.0, 3.0]])
+        a = np.ones((3, 1))
+        u = np.array([[1.0], [2.0], [3.0]])
         for core in (_pair_scan_sequential, _pair_scan_doubling):
-            np.testing.assert_allclose(core(a, u), [[1.0, 3.0, 6.0]], atol=1e-12)
+            np.testing.assert_allclose(core(a, u), [[1.0], [3.0], [6.0]], atol=1e-12)
 
     def test_geometric_decay(self):
-        a = np.full((1, 3), 0.5)
-        u = np.ones((1, 3))
+        a = np.full((3, 1), 0.5)
+        u = np.ones((3, 1))
         for core in (_pair_scan_sequential, _pair_scan_doubling):
-            np.testing.assert_allclose(core(a, u), [[1.0, 1.5, 1.75]], atol=1e-12)
+            np.testing.assert_allclose(core(a, u), [[1.0], [1.5], [1.75]], atol=1e-12)
 
     def test_cores_agree_on_awkward_lengths(self, rng):
         for length in [1, 2, 3, 5, 7, 63, 64, 65, 257]:
-            a = rng.uniform(0.1, 0.99, size=(2, 3, length))
-            u = rng.normal(size=(2, 3, length))
+            a = rng.uniform(0.1, 0.99, size=(length, 2, 3))
+            u = rng.normal(size=(length, 2, 3))
             np.testing.assert_allclose(_pair_scan_sequential(a, u),
                                        _pair_scan_doubling(a, u), atol=1e-10)
 
@@ -341,11 +342,27 @@ class TestScanValidation:
         with pytest.raises(ShapeMismatch):
             direction_aware_scan(inp, make_params(3, 4))
 
-    def test_delta_must_be_positive(self, rng):
+    def test_delta_must_be_nonnegative(self, rng):
         inp = make_inputs(rng, length=4)
-        inp.delta.data[0, 0, 2] = 0.0
-        with pytest.raises(ValueError, match="strictly positive"):
+        inp.delta.data[0, 0, 2] = -1e-3
+        with pytest.raises(ValueError, match="non-negative"):
             selective_scan_sequential(inp, make_params(3, 4))
+
+    def test_zero_delta_holds_the_state(self, rng):
+        # float32 softplus underflows to exactly 0 for inputs below about -104:
+        # abar = 1 and bbar = 0, a legitimate state that the scan must carry
+        inp = make_inputs(rng, b=2, d=3, n=4, length=6)
+        inp.delta.data[:, :, 3] = 0.0
+        _, h = selective_scan_sequential(inp, make_params(3, 4), return_hidden=True)
+        np.testing.assert_array_equal(h[..., 3], h[..., 2])
+        assert np.all(np.isfinite(h))
+
+    def test_nonfinite_delta_is_a_state_error(self, rng):
+        inp = make_inputs(rng, length=5, with_dirs=True)
+        inp.delta.data[1, 2, 3] = np.nan
+        with pytest.raises(NonFiniteStateError, match="delta") as err:
+            direction_aware_scan(inp, make_params(3, 4))
+        assert err.value.token_index == 3
 
     def test_operand_shape_mismatches(self, rng):
         p = make_params(3, 4)
@@ -374,6 +391,25 @@ class TestScanGradients:
 
         def f():
             y = direction_aware_scan(inp, p, parallel=parallel)
+            return ad.sum_all(ad.mul(y, y))
+
+        wrt = [inp.x, inp.delta, inp.b_seq, inp.c_seq,
+               p.a_log, p.skip_gain, p.direction_table]
+        report = finite_diff_check(f, wrt)
+        assert report.passed, str(report)
+
+    def test_finite_differences_per_row_codes(self, rng):
+        # the four-path call gives every batch row its own direction codes
+        from vcmamba.gradcheck import finite_diff_check
+
+        p = make_params(2, 3)
+        p.direction_table.data[:] = rng.normal(size=(N_DIRECTIONS, 3)) * 0.2
+        inp = make_inputs(rng, b=3, d=2, n=3, length=6)
+        inp.dirs = np.concatenate([np.zeros((3, 1), np.int64),
+                                   rng.integers(0, N_DIRECTIONS, size=(3, 5))], axis=1)
+
+        def f():
+            y = direction_aware_scan(inp, p)
             return ad.sum_all(ad.mul(y, y))
 
         wrt = [inp.x, inp.delta, inp.b_seq, inp.c_seq,
@@ -458,6 +494,38 @@ class TestDirectionalMix:
             y = direction_aware_scan(inp, p).data
             expected += y[:, :, path.inverse()].reshape(1, 3, 3, 4)
         np.testing.assert_allclose(total.data, expected, atol=1e-12)
+
+    def test_gradients_match_per_path_composition(self, rng):
+        # one folded call against one projection and one scan per path
+        from vcmamba.scanpath import gather_tokens, scatter_tokens
+
+        p = make_params(3, 4)
+        p.direction_table.data[:] = rng.normal(size=(N_DIRECTIONS, 4)) * 0.2
+        fmap = Tensor(rng.normal(size=(2, 3, 3, 4)), requires_grad=True, dtype=F64)
+        weights = Tensor(rng.normal(size=(2, 3, 3, 4)), dtype=F64)
+        paths = path_table(3, 4)
+
+        def per_path():
+            total = None
+            for path in paths:
+                inp = selective_projection(gather_tokens(fmap, path), p)
+                inp.dirs = path.dirs
+                spread = scatter_tokens(direction_aware_scan(inp, p), path)
+                total = spread if total is None else ad.add(total, spread)
+            return total
+
+        wrt = [fmap] + [t for _, t in p.named_parameters()]
+        grads = []
+        for mix in (lambda: directional_scan_sum(fmap, p, paths), per_path):
+            for t in wrt:
+                t.grad = None
+            with Tape():
+                loss = ad.sum_all(ad.mul(mix(), weights))
+            backward(loss)
+            grads.append([t.grad.copy() for t in wrt])
+        assert len(wrt) == 9        # input, a_log, skip, b/c_proj, dt_*, direction table
+        for name, got, want in zip(["input"] + [n for n, _ in p.named_parameters()], *grads):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=name)
 
     def test_mix_normalizes_channels_at_each_position(self, rng):
         d = 8

@@ -234,6 +234,27 @@ class TestTrainLoop:
         for (_, p1), (_, p2) in zip(init.named_parameters(), saved.named_parameters()):
             np.testing.assert_array_equal(p1.data, p2.data)
 
+    def test_nonfinite_scan_state_is_divergence(self, tmp_path, monkeypatch):
+        # weights that turn a scan's delta NaN mid-run are a runtime fault:
+        # TrainingDiverged (CLI exit 2), not an operand error (exit 1), with
+        # the last-good checkpoint left loadable
+        real_step = AdamW.step
+
+        def poisoned_step(opt):
+            real_step(opt)
+            dict(opt.params)["stage4.blocks.0.mamba.ssm.dt_bias"].data[0] = np.nan
+
+        monkeypatch.setattr(AdamW, "step", poisoned_step)
+        cfg = small_cfg(tmp_path, steps=4, checkpoint_every=2)
+        with pytest.raises(TrainingDiverged, match="delta") as err:
+            train(cfg)
+        assert err.value.step == 2
+        monkeypatch.undo()
+        saved = load_checkpoint(cfg.checkpoint_path)
+        init = VCMamba(get_preset("nano"), seed=cfg.seed)
+        for (_, p1), (_, p2) in zip(init.named_parameters(), saved.named_parameters()):
+            np.testing.assert_array_equal(p1.data, p2.data)
+
     def test_invalid_config_rejected_before_work(self, tmp_path):
         with pytest.raises(ValueError):
             train(small_cfg(tmp_path, steps=0))

@@ -28,15 +28,13 @@ MAMBA_EXPANSION = 2   # MambaBranch inner (scan) width, in multiples of the bloc
 
 
 class Stem(Module):
-    def __init__(self, out_channels: int, *, rng: np.random.Generator,
-                 dtype=ad.DEFAULT_DTYPE):
+    def __init__(self, out_channels: int, *, rng: np.random.Generator):
         super().__init__()
         mid = max(1, out_channels // 2)
-        self.conv1 = Conv2d(3, mid, 3, stride=2, padding=1, bias=False, rng=rng, dtype=dtype)
-        self.norm1 = BatchNorm2d(mid, dtype=dtype)
-        self.conv2 = Conv2d(mid, out_channels, 3, stride=2, padding=1, bias=False,
-                            rng=rng, dtype=dtype)
-        self.norm2 = BatchNorm2d(out_channels, dtype=dtype)
+        self.conv1 = Conv2d(3, mid, 3, stride=2, padding=1, bias=False, rng=rng)
+        self.norm1 = BatchNorm2d(mid)
+        self.conv2 = Conv2d(mid, out_channels, 3, stride=2, padding=1, bias=False, rng=rng)
+        self.norm2 = BatchNorm2d(out_channels)
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 4 or x.shape[1] != 3:
@@ -48,14 +46,14 @@ class Stem(Module):
 class ConvMlp(Module):
     """The FFN transform without its residual: expand, depthwise, project."""
 
-    def __init__(self, channels: int, *, rng: np.random.Generator, dtype=ad.DEFAULT_DTYPE):
+    def __init__(self, channels: int, *, rng: np.random.Generator):
         super().__init__()
         hidden = channels * FFN_EXPANSION
-        self.expand = Conv2d(channels, hidden, 1, bias=False, rng=rng, dtype=dtype)
-        self.norm1 = BatchNorm2d(hidden, dtype=dtype)
-        self.dwconv = DepthwiseConv2d(hidden, 3, padding=1, bias=False, rng=rng, dtype=dtype)
-        self.norm2 = BatchNorm2d(hidden, dtype=dtype)
-        self.project = Conv2d(hidden, channels, 1, bias=True, rng=rng, dtype=dtype)
+        self.expand = Conv2d(channels, hidden, 1, bias=False, rng=rng)
+        self.norm1 = BatchNorm2d(hidden)
+        self.dwconv = DepthwiseConv2d(hidden, bias=False, rng=rng)
+        self.norm2 = BatchNorm2d(hidden)
+        self.project = Conv2d(hidden, channels, 1, bias=True, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
         x = ad.gelu(self.norm1(self.expand(x)))
@@ -64,21 +62,19 @@ class ConvMlp(Module):
 
 
 class FfnBlock(Module):
-    def __init__(self, channels: int, *, rng: np.random.Generator, dtype=ad.DEFAULT_DTYPE):
+    def __init__(self, channels: int, *, rng: np.random.Generator):
         super().__init__()
-        self.mlp = ConvMlp(channels, rng=rng, dtype=dtype)
+        self.mlp = ConvMlp(channels, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
         return ad.add(x, self.mlp(x))
 
 
 class DownsampleLayer(Module):
-    def __init__(self, in_channels: int, out_channels: int, *,
-                 rng: np.random.Generator, dtype=ad.DEFAULT_DTYPE):
+    def __init__(self, in_channels: int, out_channels: int, *, rng: np.random.Generator):
         super().__init__()
-        self.conv = Conv2d(in_channels, out_channels, 3, stride=2, padding=1, bias=False,
-                           rng=rng, dtype=dtype)
-        self.norm = BatchNorm2d(out_channels, dtype=dtype)
+        self.conv = Conv2d(in_channels, out_channels, 3, stride=2, padding=1, bias=False, rng=rng)
+        self.norm = BatchNorm2d(out_channels)
 
     def forward(self, x: Tensor) -> Tensor:
         return self.norm(self.conv(x))
@@ -90,21 +86,20 @@ class MambaBranch(Module):
     layer norm, 1x1 out-projection + BN."""
 
     def __init__(self, channels: int, native_grid: tuple[int, int], *, n_state: int = 16,
-                 rng: np.random.Generator, dtype=ad.DEFAULT_DTYPE):
+                 rng: np.random.Generator):
         super().__init__()
         d_inner = MAMBA_EXPANSION * channels
         gh, gw = native_grid
         if gh < 1 or gw < 1:
             raise ValueError(f"native grid must be positive, got {native_grid}")
         self.d_inner = d_inner
-        self.in_proj = Conv2d(channels, d_inner, 1, bias=True, rng=rng, dtype=dtype)
-        self.pos_table = Tensor(trunc_normal(rng, (d_inner, gh, gw), dtype=dtype),
-                                requires_grad=True, dtype=dtype)
-        self.dwconv = DepthwiseConv2d(d_inner, 3, padding=1, bias=True, rng=rng, dtype=dtype)
-        self.ssm = SsmParams(d_inner, n_state, rng=rng, dtype=dtype)
-        self.mix_norm = LayerNorm(d_inner, dtype=dtype)
-        self.out_proj = Conv2d(d_inner, channels, 1, bias=False, rng=rng, dtype=dtype)
-        self.out_norm = BatchNorm2d(channels, dtype=dtype)
+        self.in_proj = Conv2d(channels, d_inner, 1, bias=True, rng=rng)
+        self.pos_table = Tensor(trunc_normal(rng, (d_inner, gh, gw)), requires_grad=True)
+        self.dwconv = DepthwiseConv2d(d_inner, bias=True, rng=rng)
+        self.ssm = SsmParams(d_inner, n_state, rng=rng)
+        self.mix_norm = LayerNorm(d_inner)
+        self.out_proj = Conv2d(d_inner, channels, 1, bias=False, rng=rng)
+        self.out_norm = BatchNorm2d(channels)
 
     def forward(self, x: Tensor) -> Tensor:
         _, _, h, w = x.shape
@@ -123,12 +118,12 @@ class MdmBlock(Module):
     x1 = x + mamba(BN(x)); out = x1 + mlp(BN(x1))."""
 
     def __init__(self, channels: int, native_grid: tuple[int, int], *, n_state: int = 16,
-                 rng: np.random.Generator, dtype=ad.DEFAULT_DTYPE):
+                 rng: np.random.Generator):
         super().__init__()
-        self.norm1 = BatchNorm2d(channels, dtype=dtype)
-        self.mamba = MambaBranch(channels, native_grid, n_state=n_state, rng=rng, dtype=dtype)
-        self.norm2 = BatchNorm2d(channels, dtype=dtype)
-        self.mlp = ConvMlp(channels, rng=rng, dtype=dtype)
+        self.norm1 = BatchNorm2d(channels)
+        self.mamba = MambaBranch(channels, native_grid, n_state=n_state, rng=rng)
+        self.norm2 = BatchNorm2d(channels)
+        self.mlp = ConvMlp(channels, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
         x = ad.add(x, self.mamba(self.norm1(x)))

@@ -62,28 +62,30 @@ def _named_state(model: VCMamba) -> list[tuple[str, np.ndarray]]:
     return state
 
 
-def save_checkpoint(model: VCMamba, path: str) -> None:
+def _parts(model: VCMamba):
+    """The checkpoint body in order; arrays are yielded as buffers, not copies."""
     header = json.dumps({"spec": model.spec.to_dict(),
                          "dtype": np.dtype(model.dtype).name}).encode("utf-8")
     state = _named_state(model)
-    parts = [MAGIC, struct.pack("<I", VERSION), struct.pack("<I", len(header)), header,
-             struct.pack("<I", len(state))]
+    yield MAGIC + struct.pack("<II", VERSION, len(header)) + header + struct.pack("<I", len(state))
     for name, arr in state:
         raw = name.encode("utf-8")
         tag = _DTYPE_TAGS.get(arr.dtype)
         if tag is None:
             raise CheckpointFormatError(f"cannot serialize dtype {arr.dtype} of {name}")
-        parts.append(struct.pack("<H", len(raw)))
-        parts.append(raw)
-        parts.append(struct.pack("<BB", tag, arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        parts.append(np.ascontiguousarray(arr, dtype=_TAG_DTYPES[tag]).tobytes())
-    body = b"".join(parts)
+        yield struct.pack(f"<H{len(raw)}sBB{arr.ndim}I", len(raw), raw, tag, arr.ndim, *arr.shape)
+        yield np.ascontiguousarray(arr, dtype=_TAG_DTYPES[tag])
+
+
+def save_checkpoint(model: VCMamba, path: str) -> None:
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(body)
-            f.write(struct.pack("<I", zlib.crc32(body)))
+            crc = 0
+            for part in _parts(model):
+                f.write(part)
+                crc = zlib.crc32(part, crc)
+            f.write(struct.pack("<I", crc))
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -93,11 +95,11 @@ def save_checkpoint(model: VCMamba, path: str) -> None:
 
 
 class _Reader:
-    def __init__(self, buf: bytes):
+    def __init__(self, buf: memoryview):
         self.buf = buf
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.buf):
             raise CheckpointIntegrityError(f"truncated checkpoint: wanted {n} bytes at offset "
                                            f"{self.pos}, file body has {len(self.buf)}")
@@ -111,12 +113,12 @@ class _Reader:
 
 def load_checkpoint(path: str) -> VCMamba:
     with open(path, "rb") as f:
-        blob = f.read()
+        blob = memoryview(f.read())     # body and entries below are views, not copies
     if len(blob) < len(MAGIC) + 8:
         raise CheckpointIntegrityError(f"file too short to be a checkpoint ({len(blob)} bytes)")
     body, stored = blob[:-4], struct.unpack("<I", blob[-4:])[0]
     if body[:4] != MAGIC:
-        raise CheckpointFormatError(f"bad magic {body[:4]!r}, expected {MAGIC!r}")
+        raise CheckpointFormatError(f"bad magic {bytes(body[:4])!r}, expected {MAGIC!r}")
     if zlib.crc32(body) != stored:
         raise CheckpointIntegrityError("checksum mismatch: checkpoint is truncated or corrupt")
 
@@ -128,7 +130,7 @@ def load_checkpoint(path: str) -> VCMamba:
                                      f"(this build reads version {VERSION})")
     (hlen,) = r.unpack("<I")
     try:
-        header = json.loads(r.take(hlen).decode("utf-8"))
+        header = json.loads(bytes(r.take(hlen)).decode("utf-8"))
         spec = ModelSpec.from_dict(header["spec"])
         dtype = np.dtype(header["dtype"])
     except (ValueError, KeyError, TypeError) as exc:
@@ -140,7 +142,7 @@ def load_checkpoint(path: str) -> VCMamba:
     (count,) = r.unpack("<I")
     for _ in range(count):
         (nlen,) = r.unpack("<H")
-        name = r.take(nlen).decode("utf-8")
+        name = bytes(r.take(nlen)).decode("utf-8")
         tag, ndim = r.unpack("<BB")
         if tag not in _TAG_DTYPES:
             raise CheckpointFormatError(f"unknown dtype tag {tag} for entry {name!r}")
@@ -154,8 +156,7 @@ def load_checkpoint(path: str) -> VCMamba:
         if tuple(shape) != dest.shape:
             raise CheckpointFormatError(f"entry {name!r} has shape {tuple(shape)}, model "
                                         f"expects {dest.shape}")
-        arr = np.frombuffer(raw, dtype=_TAG_DTYPES[tag]).reshape(shape)
-        dest[...] = arr.astype(dest.dtype)
+        dest[...] = np.frombuffer(raw, dtype=_TAG_DTYPES[tag]).reshape(shape)
         seen.add(name)
     if r.pos != len(body):
         raise CheckpointFormatError(f"{len(body) - r.pos} unexpected trailing bytes")

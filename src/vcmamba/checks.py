@@ -91,7 +91,7 @@ def random_scan_instance(rng: np.random.Generator, length: int, d_inner: int, n_
                          batch: int, dtype, with_dirs: bool = False):
     """Magnitude-controlled random operands: delta in the init range, B/C
     scaled by 1/sqrt(N) so outputs stay O(1)."""
-    params = SsmParams(d_inner, n_state, rng=rng, dtype=dtype)
+    params = SsmParams(d_inner, n_state, rng=rng).to(dtype)
     scale = 1.0 / np.sqrt(n_state)
     x = Tensor(rng.standard_normal((batch, d_inner, length)), dtype=dtype)
     delta = Tensor(rng.uniform(0.001, 0.25, size=(batch, d_inner, length)), dtype=dtype)
@@ -276,13 +276,13 @@ def check_residual_passthrough() -> CheckResult:
     rng = np.random.default_rng(29)
     x = Tensor(rng.standard_normal((2, 8, 5, 5)), dtype=np.float64)
 
-    ffn = FfnBlock(8, rng=np.random.default_rng(1), dtype=np.float64).eval()
+    ffn = FfnBlock(8, rng=np.random.default_rng(1)).to(np.float64).eval()
     ffn.mlp.project.weight.data[...] = 0.0
     ffn.mlp.project.bias.data[...] = 0.0
     if not np.array_equal(ffn(x).data, x.data):
         return _result("residual_passthrough", False, "FFN with zero projection is not identity")
 
-    mdm = MdmBlock(8, (5, 5), rng=np.random.default_rng(2), dtype=np.float64).eval()
+    mdm = MdmBlock(8, (5, 5), rng=np.random.default_rng(2)).to(np.float64).eval()
     mdm.mamba.out_proj.weight.data[...] = 0.0
     mdm.mamba.out_norm.beta.data[...] = 0.0
     mdm.mlp.project.weight.data[...] = 0.0

@@ -114,18 +114,17 @@ def get_preset(name: str) -> ModelSpec:
 
 class Stage(Module):
     def __init__(self, channels: int, kinds: str, native_grid: tuple[int, int], *,
-                 n_state: int, rng: np.random.Generator, dtype):
+                 n_state: int, rng: np.random.Generator):
         super().__init__()
-        self.entry_norm = BatchNorm2d(channels, dtype=dtype)
+        self.entry_norm = BatchNorm2d(channels)
         blocks = []
         for kind in kinds:
             if kind == "F":
-                blocks.append(FfnBlock(channels, rng=rng, dtype=dtype))
+                blocks.append(FfnBlock(channels, rng=rng))
             else:
-                blocks.append(MdmBlock(channels, native_grid, n_state=n_state,
-                                       rng=rng, dtype=dtype))
+                blocks.append(MdmBlock(channels, native_grid, n_state=n_state, rng=rng))
         self.blocks = ModuleList(blocks)
-        self.exit_norm = BatchNorm2d(channels, dtype=dtype)
+        self.exit_norm = BatchNorm2d(channels)
 
     def forward(self, x: Tensor) -> Tensor:
         x = self.entry_norm(x)
@@ -136,29 +135,31 @@ class Stage(Module):
 
 class VCMamba(Module):
     """Build is fully determined by (spec, seed, dtype): parameter names,
-    shapes and initial values are reproducible bit for bit."""
+    shapes and initial values are reproducible bit for bit. The build draws
+    in float32; another dtype gets those values cast by Module.to."""
 
     def __init__(self, spec: ModelSpec, *, seed: int = 0, dtype=ad.DEFAULT_DTYPE):
         super().__init__()
         rng = np.random.default_rng(seed)
         self.spec = spec
-        self.dtype = dtype
+        c, kinds, n_state = spec.channels, spec.stage_blocks, spec.n_state
         side = spec.input_resolution // REDUCTION
         native_grid = (side, side)
 
-        self.stem = Stem(spec.channels[0], rng=rng, dtype=dtype)
-        self.stage1 = Stage(spec.channels[0], spec.stage_blocks[0], native_grid,
-                            n_state=spec.n_state, rng=rng, dtype=dtype)
-        self.down1 = DownsampleLayer(spec.channels[0], spec.channels[1], rng=rng, dtype=dtype)
-        self.stage2 = Stage(spec.channels[1], spec.stage_blocks[1], native_grid,
-                            n_state=spec.n_state, rng=rng, dtype=dtype)
-        self.down2 = DownsampleLayer(spec.channels[1], spec.channels[2], rng=rng, dtype=dtype)
-        self.stage3 = Stage(spec.channels[2], spec.stage_blocks[2], native_grid,
-                            n_state=spec.n_state, rng=rng, dtype=dtype)
-        self.down3 = DownsampleLayer(spec.channels[2], spec.channels[3], rng=rng, dtype=dtype)
-        self.stage4 = Stage(spec.channels[3], spec.stage_blocks[3], native_grid,
-                            n_state=spec.n_state, rng=rng, dtype=dtype)
-        self.head = Linear(spec.channels[3], spec.num_classes, rng=rng, dtype=dtype)
+        self.stem = Stem(c[0], rng=rng)
+        self.stage1 = Stage(c[0], kinds[0], native_grid, n_state=n_state, rng=rng)
+        self.down1 = DownsampleLayer(c[0], c[1], rng=rng)
+        self.stage2 = Stage(c[1], kinds[1], native_grid, n_state=n_state, rng=rng)
+        self.down2 = DownsampleLayer(c[1], c[2], rng=rng)
+        self.stage3 = Stage(c[2], kinds[2], native_grid, n_state=n_state, rng=rng)
+        self.down3 = DownsampleLayer(c[2], c[3], rng=rng)
+        self.stage4 = Stage(c[3], kinds[3], native_grid, n_state=n_state, rng=rng)
+        self.head = Linear(c[3], spec.num_classes, rng=rng)
+        self.to(dtype)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.head.weight.dtype
 
     def features(self, x: Tensor) -> Tensor:
         if x.ndim != 4 or x.shape[1] != 3:

@@ -4,7 +4,8 @@ Modules register parameters (Tensors), buffers (plain arrays, e.g. batch
 norm running statistics) and child modules at attribute assignment, and walk
 them recursively with stable dotted names. Insertion order is construction
 order, which makes parameter iteration, initialization and serialization
-deterministic.
+deterministic. Layers are built in the default float32; Module.to casts a
+whole tree to another dtype.
 """
 
 from __future__ import annotations
@@ -17,16 +18,16 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 
-def trunc_normal(rng: np.random.Generator, shape: tuple[int, ...], std: float = 0.02,
-                 dtype=ad.DEFAULT_DTYPE) -> np.ndarray:
-    """Normal draw with resampling outside +-2 std."""
+def trunc_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Normal draw at std 0.02, resampled outside +-2 std, in the default dtype."""
+    std = 0.02
     out = rng.normal(0.0, std, size=shape)
     bound = 2.0 * std
     bad = np.abs(out) > bound
     while bad.any():
         out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
         bad = np.abs(out) > bound
-    return out.astype(dtype)
+    return out.astype(ad.DEFAULT_DTYPE)
 
 
 class Module:
@@ -75,6 +76,18 @@ class Module:
     def eval(self) -> "Module":
         return self.train(False)
 
+    def to(self, dtype) -> "Module":
+        """Cast every parameter (in place: the same Tensor objects) and every
+        buffer to dtype, recursively. Arrays already in dtype are kept, not copied."""
+        for p in self._params.values():
+            p.data = p.data.astype(dtype, copy=False)
+            p.grad = None if p.grad is None else p.grad.astype(dtype, copy=False)
+        for name, b in self._buffers.items():
+            self.register_buffer(name, b.astype(dtype, copy=False))
+        for child in self._children.values():
+            child.to(dtype)
+        return self
+
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.zero_grad()
@@ -89,75 +102,65 @@ class Module:
 class ModuleList(Module):
     def __init__(self, modules):
         super().__init__()
-        self._items = []
         for i, m in enumerate(modules):
             setattr(self, str(i), m)
-            self._items.append(m)
 
     def __iter__(self):
-        return iter(self._items)
+        return iter(self._children.values())
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._children)
 
     def __getitem__(self, i: int) -> Module:
-        return self._items[i]
+        return list(self._children.values())[i]
 
 
 class Conv2d(Module):
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int, *,
-                 stride: int = 1, padding: int = 0, bias: bool = True,
-                 rng: np.random.Generator, dtype=ad.DEFAULT_DTYPE):
+                 stride: int = 1, padding: int = 0, bias: bool = True, rng: np.random.Generator):
         super().__init__()
         self.stride = stride
         self.padding = padding
-        self.weight = Tensor(trunc_normal(rng, (out_channels, in_channels,
-                                                kernel_size, kernel_size), dtype=dtype),
-                             requires_grad=True, dtype=dtype)
-        self.bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True, dtype=dtype) if bias else None
+        shape = (out_channels, in_channels, kernel_size, kernel_size)
+        self.weight = Tensor(trunc_normal(rng, shape), requires_grad=True)
+        self.bias = Tensor(np.zeros(out_channels), requires_grad=True) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
         return ad.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
 
 class DepthwiseConv2d(Module):
-    def __init__(self, channels: int, kernel_size: int, *, stride: int = 1,
-                 padding: int = 0, bias: bool = True,
-                 rng: np.random.Generator, dtype=ad.DEFAULT_DTYPE):
+    """3x3 per-channel convolution, stride 1, padding 1 (shape-preserving)."""
+
+    def __init__(self, channels: int, *, bias: bool, rng: np.random.Generator):
         super().__init__()
-        self.stride = stride
-        self.padding = padding
-        self.weight = Tensor(trunc_normal(rng, (channels, 1, kernel_size, kernel_size),
-                                          dtype=dtype), requires_grad=True, dtype=dtype)
-        self.bias = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True, dtype=dtype) if bias else None
+        self.weight = Tensor(trunc_normal(rng, (channels, 1, 3, 3)), requires_grad=True)
+        self.bias = Tensor(np.zeros(channels), requires_grad=True) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        return ad.depthwise_conv2d(x, self.weight, self.bias, stride=self.stride,
-                                   padding=self.padding)
+        return ad.depthwise_conv2d(x, self.weight, self.bias, padding=1)
 
 
 class Linear(Module):
-    def __init__(self, in_features: int, out_features: int, *, bias: bool = True,
-                 rng: np.random.Generator, dtype=ad.DEFAULT_DTYPE):
+    def __init__(self, in_features: int, out_features: int, *, rng: np.random.Generator):
         super().__init__()
-        self.weight = Tensor(trunc_normal(rng, (out_features, in_features), dtype=dtype),
-                             requires_grad=True, dtype=dtype)
-        self.bias = Tensor(np.zeros(out_features, dtype=dtype), requires_grad=True, dtype=dtype) if bias else None
+        self.weight = Tensor(trunc_normal(rng, (out_features, in_features)), requires_grad=True)
+        self.bias = Tensor(np.zeros(out_features), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
         return ad.linear(x, self.weight, self.bias)
 
 
 class BatchNorm2d(Module):
-    def __init__(self, channels: int, *, eps: float = 1e-5, momentum: float = 0.1,
-                 dtype=ad.DEFAULT_DTYPE):
+    eps = 1e-5
+    momentum = 0.1
+
+    def __init__(self, channels: int):
         super().__init__()
-        self.eps = eps
-        self.momentum = momentum
-        self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True, dtype=dtype)
-        self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True, dtype=dtype)
-        self.register_buffer("running_mean", np.zeros(channels, dtype=dtype))
-        self.register_buffer("running_var", np.ones(channels, dtype=dtype))
+        self.gamma = Tensor(np.ones(channels), requires_grad=True)
+        self.beta = Tensor(np.zeros(channels), requires_grad=True)
+        self.register_buffer("running_mean", np.zeros(channels, ad.DEFAULT_DTYPE))
+        self.register_buffer("running_var", np.ones(channels, ad.DEFAULT_DTYPE))
 
     def forward(self, x: Tensor) -> Tensor:
         return ad.batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var,
@@ -167,11 +170,12 @@ class BatchNorm2d(Module):
 class LayerNorm(Module):
     """Normalizes the last axis."""
 
-    def __init__(self, dim: int, *, eps: float = 1e-5, dtype=ad.DEFAULT_DTYPE):
+    eps = 1e-5
+
+    def __init__(self, dim: int):
         super().__init__()
-        self.eps = eps
-        self.gamma = Tensor(np.ones(dim, dtype=dtype), requires_grad=True, dtype=dtype)
-        self.beta = Tensor(np.zeros(dim, dtype=dtype), requires_grad=True, dtype=dtype)
+        self.gamma = Tensor(np.ones(dim), requires_grad=True)
+        self.beta = Tensor(np.zeros(dim), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
         return ad.layer_norm(x, self.gamma, self.beta, eps=self.eps)

@@ -63,8 +63,7 @@ class SsmParams(Module):
     direction code.
     """
 
-    def __init__(self, d_inner: int, n_state: int = 16, *,
-                 rng: np.random.Generator | None = None, dtype=ad.DEFAULT_DTYPE):
+    def __init__(self, d_inner: int, n_state: int = 16, *, rng: np.random.Generator | None = None):
         super().__init__()
         if d_inner < 1 or n_state < 1:
             raise ValueError(f"d_inner and n_state must be positive, got {d_inner}, {n_state}")
@@ -76,20 +75,16 @@ class SsmParams(Module):
 
         # S4D-real spectrum: state n relaxes at rate n + 1
         a_init = np.log(np.arange(1, n_state + 1, dtype=np.float64))[None, :]
-        self.a_log = Tensor(np.broadcast_to(a_init, (d_inner, n_state)).astype(dtype),
-                            requires_grad=True, dtype=dtype)
-        self.skip_gain = Tensor(np.ones(d_inner, dtype=dtype), requires_grad=True, dtype=dtype)
-        self.b_proj = Tensor(trunc_normal(rng, (n_state, d_inner), dtype=dtype), requires_grad=True, dtype=dtype)
-        self.c_proj = Tensor(trunc_normal(rng, (n_state, d_inner), dtype=dtype), requires_grad=True, dtype=dtype)
-        self.dt_down = Tensor(trunc_normal(rng, (self.dt_rank, d_inner), dtype=dtype),
-                              requires_grad=True, dtype=dtype)
-        self.dt_up = Tensor(trunc_normal(rng, (d_inner, self.dt_rank), dtype=dtype),
-                            requires_grad=True, dtype=dtype)
+        self.a_log = Tensor(np.broadcast_to(a_init, (d_inner, n_state)), requires_grad=True)
+        self.skip_gain = Tensor(np.ones(d_inner), requires_grad=True)
+        self.b_proj = Tensor(trunc_normal(rng, (n_state, d_inner)), requires_grad=True)
+        self.c_proj = Tensor(trunc_normal(rng, (n_state, d_inner)), requires_grad=True)
+        self.dt_down = Tensor(trunc_normal(rng, (self.dt_rank, d_inner)), requires_grad=True)
+        self.dt_up = Tensor(trunc_normal(rng, (d_inner, self.dt_rank)), requires_grad=True)
         # bias placed so softplus lands log-uniformly in [1e-3, 0.1]
         dt = np.exp(rng.uniform(np.log(1e-3), np.log(0.1), size=d_inner))
-        self.dt_bias = Tensor(np.log(np.expm1(dt)).astype(dtype), requires_grad=True, dtype=dtype)
-        self.direction_table = Tensor(np.zeros((N_DIRECTIONS, n_state), dtype=dtype),
-                                      requires_grad=True, dtype=dtype)
+        self.dt_bias = Tensor(np.log(np.expm1(dt)), requires_grad=True)
+        self.direction_table = Tensor(np.zeros((N_DIRECTIONS, n_state)), requires_grad=True)
 
 
 @dataclass

@@ -3,7 +3,8 @@
 The CSV log has columns step,phase,loss,accuracy,grad_norm. Per-step rows
 carry phase=train with batch metrics; after the last step one phase=eval row
 records full-training-set metrics in eval mode (grad_norm 0.0), so the log's
-final entry is exactly what evaluate() reports on the same model and data.
+final entry is exactly what evaluate() reports on the same model and data. A
+diverged run ends instead with a phase=diverged row, nan where not measured.
 
 The checkpoint file always holds the most recent finite state: it is
 written at initialization, every checkpoint_every steps and at the end. If
@@ -32,12 +33,12 @@ from .ssm import NonFiniteStateError
 
 
 class TrainingDiverged(RuntimeError):
-    """The loss, the gradient norm when one is given, or a scan state (the
-    NonFiniteStateError given as state) was non-finite."""
+    """A scan state (the NonFiniteStateError given as state), else the loss,
+    else the gradient norm was non-finite."""
 
     def __init__(self, step: int, loss: float, checkpoint_path: str,
-                 grad_norm: float | None = None, state: NonFiniteStateError | None = None):
-        bad = f"loss ({loss})" if grad_norm is None else f"gradient norm ({grad_norm})"
+                 grad_norm: float = math.nan, state: NonFiniteStateError | None = None):
+        bad = f"gradient norm ({grad_norm})" if math.isfinite(loss) else f"loss ({loss})"
         if state is not None:
             bad = f"model state ({state})"
         super().__init__(f"non-finite {bad} at step {step}; last-good checkpoint "
@@ -94,22 +95,23 @@ def train(cfg: TrainConfig) -> TrainResult:
         for step in range(1, cfg.steps + 1):
             idx = batch_rng.integers(0, len(dataset), size=cfg.batch_size)
             imgs, labels = dataset.images[idx], dataset.labels[idx]
+            loss_val, gnorm, state = math.nan, math.nan, None
             try:
                 with Tape():
                     logits = model(Tensor(imgs))
                     loss = ad.softmax_cross_entropy(logits, labels)
                 loss_val = loss.item()
-                if not math.isfinite(loss_val):
-                    raise TrainingDiverged(step, loss_val, cfg.checkpoint_path)
-                if step == 1:
-                    first_loss = loss_val
-                opt.zero_grad()
-                ad.backward(loss)
+                if math.isfinite(loss_val):
+                    opt.zero_grad()
+                    ad.backward(loss)
+                    gnorm = opt.grad_norm()
             except NonFiniteStateError as exc:
-                raise TrainingDiverged(step, math.nan, cfg.checkpoint_path, state=exc) from exc
-            gnorm = opt.grad_norm()
-            if not math.isfinite(gnorm):
-                raise TrainingDiverged(step, loss_val, cfg.checkpoint_path, grad_norm=gnorm)
+                state = exc
+            if state is not None or not math.isfinite(gnorm):
+                log.writerow([step, "diverged", f"{loss_val:.6f}", "nan", f"{gnorm:.6f}"])
+                raise TrainingDiverged(step, loss_val, cfg.checkpoint_path, gnorm, state) from state
+            if step == 1:
+                first_loss = loss_val
             opt.step()
             acc = float((logits.data.argmax(axis=1) == labels).mean())
             log.writerow([step, "train", f"{loss_val:.6f}", f"{acc:.6f}", f"{gnorm:.6f}"])

@@ -42,7 +42,7 @@ OFFSET_BY_CODE = {1: (0, 1), 2: (0, -1), 3: (1, 0), 4: (-1, 0)}
 def sample_scan_instance(rng, length, d_inner, n_state, batch, dtype, directed=False):
     """Random operands at controlled magnitude: delta inside the init range,
     state projections scaled 1/sqrt(N) so outputs stay O(1)."""
-    params = SsmParams(d_inner, n_state, rng=rng, dtype=dtype)
+    params = SsmParams(d_inner, n_state, rng=rng).to(dtype)
     scale = 1.0 / np.sqrt(n_state)
     inputs = ScanInputs(
         x=Tensor(rng.standard_normal((batch, d_inner, length)), dtype=dtype),
@@ -284,7 +284,7 @@ def test_c06_finite_difference_gradients(criterion_report):
         if not report.passed:
             failures.append(f"{name}: {report}")
 
-    block = MdmBlock(4, (2, 2), rng=np.random.default_rng(7), dtype=F64).train()
+    block = MdmBlock(4, (2, 2), rng=np.random.default_rng(7)).to(F64).train()
     xb = Tensor(rng.standard_normal((1, 4, 2, 2)), requires_grad=True, dtype=F64)
     wtb = Tensor(rng.standard_normal((1, 4, 2, 2)), dtype=F64)
     report = finite_diff_check(lambda: ad.sum_all(ad.mul(block(xb), wtb)),
@@ -344,12 +344,12 @@ def test_c08_passthrough_invariants(criterion_report):
     rng = np.random.default_rng(808)
     x = Tensor(rng.standard_normal((2, 8, 5, 5)), dtype=F64)
 
-    ffn = FfnBlock(8, rng=np.random.default_rng(1), dtype=F64).eval()
+    ffn = FfnBlock(8, rng=np.random.default_rng(1)).to(F64).eval()
     ffn.mlp.project.weight.data[...] = 0.0
     ffn.mlp.project.bias.data[...] = 0.0
     ffn_ok = np.array_equal(ffn(x).data, x.data)
 
-    mdm = MdmBlock(8, (5, 5), rng=np.random.default_rng(2), dtype=F64).eval()
+    mdm = MdmBlock(8, (5, 5), rng=np.random.default_rng(2)).to(F64).eval()
     mdm.mamba.out_proj.weight.data[...] = 0.0
     mdm.mamba.out_norm.beta.data[...] = 0.0
     mdm.mlp.project.weight.data[...] = 0.0
@@ -370,6 +370,7 @@ def test_c08_passthrough_invariants(criterion_report):
     assert ok, detail
 
 
+@pytest.mark.slow
 def test_c09_training_smoke(criterion_report, tmp_path):
     # committed reference run: nano, 2000 steps, batch 32 (reference/train_nano.cfg)
     with open(REPO / "reference" / "train_log.csv", newline="") as f:

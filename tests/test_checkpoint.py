@@ -3,7 +3,9 @@ kind of damage (truncation, flipped bytes, wrong magic, wrong version,
 renamed entries, trailing garbage)."""
 
 import errno
+import os
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -14,7 +16,7 @@ from vcmamba.autodiff import Tensor
 from vcmamba.checkpoint import (MAGIC, VERSION, CheckpointError, CheckpointFormatError,
                                 CheckpointIntegrityError, CheckpointVersionError,
                                 load_checkpoint, save_checkpoint)
-from vcmamba.model import ModelSpec, VCMamba
+from vcmamba.model import ModelSpec, VCMamba, get_preset
 
 SPEC = ModelSpec("tiny", (4, 4, 4, 4), ("F", "F", "F", "M"), 10, 32, n_state=2)
 
@@ -188,3 +190,24 @@ class TestAtomicSave:
         fresh = VCMamba(SPEC, seed=0)
         for (_, p1), (_, p2) in zip(fresh.named_parameters(), loaded.named_parameters()):
             np.testing.assert_array_equal(p1.data, p2.data)
+
+
+class TestMemory:
+    def test_save_and_load_peaks(self, tmp_path):
+        model = VCMamba(get_preset("nano"), seed=0)
+        ckpt = str(tmp_path / "nano.ckpt")
+        tracemalloc.start()
+        try:
+            save_checkpoint(model, ckpt)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            loaded = load_checkpoint(ckpt)
+            load_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = os.path.getsize(ckpt)
+        # save writes each array as a buffer: no copy of the state
+        assert save_peak < 0.25 * size, (save_peak, size)
+        # load holds the file once plus the model it fills
+        assert load_peak < 2.5 * size, (load_peak, size)
+        assert loaded.spec == model.spec

@@ -7,6 +7,7 @@ counters cannot be graded against themselves.
 
 import dataclasses
 import gc
+import hashlib
 import weakref
 
 import numpy as np
@@ -21,6 +22,21 @@ from vcmamba.nn import Linear
 TINY = ModelSpec("tiny", (4, 4, 4, 4), ("F", "F", "F", "M"), 10, 32, n_state=2)
 GRADFLOW = ModelSpec("gradflow", (8, 16, 24, 32), ("F", "F", "FF", "MF"), 10, 64,
                      n_state=4)
+MFM128 = ModelSpec("mfm128", (16, 32, 64, 128), ("FF", "FF", "FFFF", "MFM"), 10, 128)
+
+
+def named_state(model):
+    return [(n, p.data) for n, p in model.named_parameters()] + list(model.named_buffers())
+
+
+def state_sha256(model):
+    """Digest of the name, dtype and bytes of every parameter and buffer."""
+    h = hashlib.sha256()
+    for name, arr in named_state(model):
+        h.update(name.encode())
+        h.update(arr.dtype.str.encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
 
 
 class TestInterleave:
@@ -161,6 +177,47 @@ class TestDeterminism:
         assert l1 == l2 and g1.keys() == g2.keys()
         for name in g1:
             np.testing.assert_array_equal(g1[name], g2[name])
+
+
+class TestBuildPinning:
+    """Float32 builds are frozen bit for bit: any change to initialization,
+    draw order, naming or dtype handling moves these digests."""
+
+    @pytest.mark.parametrize("spec, digest", [
+        (get_preset("nano"), "b07d6676b1859dbfcafd29fa7716b6ac496d34d1b6c6c3bd0e1d41ba8e2eca53"),
+        (MFM128, "e33a4466149d1f7f9289d23c60fe2459075d9b221cdbba0e9fb098bb0fff82fb"),
+    ])
+    def test_seed0_state_digest(self, spec, digest):
+        assert state_sha256(VCMamba(spec, seed=0)) == digest
+
+
+class TestModuleTo:
+    def test_float64_reaches_everything_in_place(self):
+        model = VCMamba(TINY, seed=0)
+        widened = {n: a.astype(np.float64) for n, a in named_state(model)}
+        params = dict(model.named_parameters())
+        assert model.to(np.float64) is model
+        assert np.dtype(model.dtype) == np.float64
+        for name, arr in named_state(model):
+            assert arr.dtype == np.float64, name
+            assert np.array_equal(arr, widened[name]), name
+        assert all(params[n] is p for n, p in model.named_parameters())
+        # the buffers batch norm reads are the registered, cast ones
+        buffers = dict(model.named_buffers())
+        assert model.stem.norm1.running_mean is buffers["stem.norm1.running_mean"]
+        assert model.stem.norm1.running_var is buffers["stem.norm1.running_var"]
+
+    def test_dtype_argument_is_the_float32_build_cast(self):
+        direct = VCMamba(TINY, seed=4, dtype=np.float64)
+        cast = VCMamba(TINY, seed=4).to(np.float64)
+        assert state_sha256(direct) == state_sha256(cast)
+
+    def test_same_dtype_copies_nothing(self):
+        model = VCMamba(TINY, seed=0)
+        before = dict(named_state(model))
+        model.to(np.float32)
+        for name, arr in named_state(model):
+            assert np.shares_memory(arr, before[name]), name
 
 
 class TestStepGraphLifetime:

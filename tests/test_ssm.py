@@ -23,8 +23,7 @@ F64 = np.float64
 
 
 def make_params(d, n, dtype=F64, seed=0):
-    p = SsmParams(d, n, rng=np.random.default_rng(seed), dtype=dtype)
-    return p
+    return SsmParams(d, n, rng=np.random.default_rng(seed)).to(dtype)
 
 
 def make_inputs(rng, b=2, d=3, n=4, length=6, dtype=F64, with_dirs=False):

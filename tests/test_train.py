@@ -2,8 +2,8 @@
 
 The training loop contracts under test: bitwise reproducibility for a fixed
 seed, zero learning rate changes nothing, divergence aborts while keeping
-the last finite-loss checkpoint on disk, and the log's closing eval row is
-exactly what evaluate() reports.
+the last finite-loss checkpoint on disk and closing the log with a diverged
+row, and the log's closing eval row is exactly what evaluate() reports.
 """
 
 import csv
@@ -201,6 +201,10 @@ class TestTrainLoop:
         assert "checkpoint" in str(err.value)
         # retained file is the step-2 state: identical to a clean 2-step run
         assert open(cfg.checkpoint_path, "rb").read() == good_bytes
+        # the log says so: the loss was measured (nan), nothing after it was
+        rows = read_log(cfg.log_path)
+        assert [r["phase"] for r in rows] == ["train", "train", "diverged"]
+        assert list(rows[-1].values()) == ["3", "diverged", "nan", "nan", "nan"]
 
     def test_nonfinite_gradient_is_never_applied(self, tmp_path, monkeypatch):
         # a NaN gradient with a finite loss at a checkpoint step must abort
@@ -226,6 +230,11 @@ class TestTrainLoop:
         with pytest.raises(TrainingDiverged, match="gradient") as err:
             train(cfg)
         assert err.value.step == 2
+        rows = read_log(cfg.log_path)
+        assert [r["phase"] for r in rows] == ["train", "diverged"]
+        step, _, loss, acc, gnorm = rows[-1].values()
+        assert (step, acc, gnorm) == ("2", "nan", "nan")
+        assert math.isfinite(float(loss))
         monkeypatch.undo()
         saved = load_checkpoint(cfg.checkpoint_path)
         for name, p in saved.named_parameters():
@@ -249,6 +258,10 @@ class TestTrainLoop:
         with pytest.raises(TrainingDiverged, match="delta") as err:
             train(cfg)
         assert err.value.step == 2
+        # the forward failed, so no value of step 2 was measured
+        rows = read_log(cfg.log_path)
+        assert [r["phase"] for r in rows] == ["train", "diverged"]
+        assert list(rows[-1].values()) == ["2", "diverged", "nan", "nan", "nan"]
         monkeypatch.undo()
         saved = load_checkpoint(cfg.checkpoint_path)
         init = VCMamba(get_preset("nano"), seed=cfg.seed)

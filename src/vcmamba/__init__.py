@@ -17,7 +17,7 @@ from .model import PRESETS, ModelSpec, VCMamba, count_macs, count_params, get_pr
 from .optim import AdamW
 from .scanpath import Direction, PathId, ScanPath, build_path, path_table
 from .ssm import (NonFiniteStateError, ScanInputs, SsmParams, direction_aware_scan,
-                  discretize, multi_directional_mix, selective_projection,
+                  directional_scan_sum, discretize, selective_projection,
                   selective_scan_parallel, selective_scan_sequential)
 from .train import TrainingDiverged, TrainResult, evaluate, train
 
@@ -29,9 +29,9 @@ __all__ = [
     "GradCheckReport", "ModelSpec", "NonFiniteStateError", "PRESETS", "PathId", "ScanInputs",
     "ScanPath", "ShapeMismatch", "SsmParams", "Tape", "Tensor", "ToyDataset", "TrainConfig",
     "TrainResult", "TrainingDiverged", "VCMamba", "ValidationError", "backward",
-    "count_macs", "count_params", "direction_aware_scan", "discretize", "evaluate",
-    "finite_diff_check", "get_preset", "load_checkpoint", "load_train_config",
-    "multi_directional_mix", "path_table", "render_sample", "save_checkpoint",
+    "count_macs", "count_params", "direction_aware_scan", "directional_scan_sum", "discretize",
+    "evaluate", "finite_diff_check", "get_preset", "load_checkpoint", "load_train_config",
+    "path_table", "render_sample", "save_checkpoint",
     "selective_projection", "selective_scan_parallel", "selective_scan_sequential", "train",
     "build_path",
 ]

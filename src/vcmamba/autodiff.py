@@ -334,41 +334,35 @@ def take_last(a: Tensor, idx: np.ndarray) -> Tensor:
 # activations
 
 
-def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0), dtype=a.dtype)
-    mask = a.data > 0  # subgradient 0 at the kink
-    record("relu", out, (a,), lambda g: (g * mask,))
+def _pointwise(op: str, a: Tensor, y: np.ndarray, slope: Callable[[], np.ndarray]) -> Tensor:
+    """Elementwise op output y; slope() (dy/da) runs only when a tape replays the node."""
+    out = Tensor(y, dtype=a.dtype)
+    record(op, out, (a,), lambda g: (g * slope(),))
     return out
+
+
+def relu(a: Tensor) -> Tensor:
+    return _pointwise("relu", a, np.maximum(a.data, 0), lambda: a.data > 0)  # 0 at the kink
 
 
 def gelu(a: Tensor) -> Tensor:
     """Exact (erf) form: x * Phi(x)."""
     x = a.data
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    out = Tensor(x * cdf, dtype=a.dtype)
-    pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-    deriv = cdf + x * pdf
-    record("gelu", out, (a,), lambda g: (g * deriv,))
-    return out
+    return _pointwise("gelu", a, x * cdf,
+                      lambda: cdf + x * (np.exp(-0.5 * x * x) * _INV_SQRT_2PI))
 
 
 def silu(a: Tensor) -> Tensor:
     x = a.data
     sig = expit(x)
-    out = Tensor(x * sig, dtype=a.dtype)
-    deriv = sig * (1.0 + x * (1.0 - sig))
-    record("silu", out, (a,), lambda g: (g * deriv,))
-    return out
+    return _pointwise("silu", a, x * sig, lambda: sig * (1.0 + x * (1.0 - sig)))
 
 
 def softplus(a: Tensor) -> Tensor:
     """log(1 + exp(x)), computed stably; exactly +0 for x <= about -104 in
     float32 (about -745 in float64)."""
-    x = a.data
-    out = Tensor(np.logaddexp(0.0, x), dtype=a.dtype)
-    sig = expit(x)
-    record("softplus", out, (a,), lambda g: (g * sig,))
-    return out
+    return _pointwise("softplus", a, np.logaddexp(0.0, a.data), lambda: expit(a.data))
 
 
 # ---------------------------------------------------------------------------
@@ -710,13 +704,12 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     ez = np.exp(z)
-    probs = ez / ez.sum(axis=1, keepdims=True)
     logp = z - np.log(ez.sum(axis=1, keepdims=True))
     nll = -logp[np.arange(bsz), labels]
     out = Tensor(nll.mean(), dtype=logits.dtype)
 
     def vjp(g):
-        gl = probs.copy()
+        gl = ez / ez.sum(axis=1, keepdims=True)     # softmax probabilities
         gl[np.arange(bsz), labels] -= 1.0
         return (gl * (g / bsz),)
 

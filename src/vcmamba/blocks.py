@@ -20,8 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ShapeMismatch, Tensor
 from .nn import BatchNorm2d, Conv2d, DepthwiseConv2d, LayerNorm, Module, trunc_normal
-from .scanpath import path_table
-from .ssm import SsmParams, multi_directional_mix
+from .ssm import SsmParams, directional_scan_sum
 
 FFN_EXPANSION = 4     # ConvMlp hidden width, in multiples of the block channels
 MAMBA_EXPANSION = 2   # MambaBranch inner (scan) width, in multiples of the block channels
@@ -31,9 +30,9 @@ class Stem(Module):
     def __init__(self, out_channels: int, *, rng: np.random.Generator):
         super().__init__()
         mid = max(1, out_channels // 2)
-        self.conv1 = Conv2d(3, mid, 3, stride=2, padding=1, bias=False, rng=rng)
+        self.conv1 = Conv2d(3, mid, 3, stride=2, bias=False, rng=rng)
         self.norm1 = BatchNorm2d(mid)
-        self.conv2 = Conv2d(mid, out_channels, 3, stride=2, padding=1, bias=False, rng=rng)
+        self.conv2 = Conv2d(mid, out_channels, 3, stride=2, bias=False, rng=rng)
         self.norm2 = BatchNorm2d(out_channels)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -73,7 +72,7 @@ class FfnBlock(Module):
 class DownsampleLayer(Module):
     def __init__(self, in_channels: int, out_channels: int, *, rng: np.random.Generator):
         super().__init__()
-        self.conv = Conv2d(in_channels, out_channels, 3, stride=2, padding=1, bias=False, rng=rng)
+        self.conv = Conv2d(in_channels, out_channels, 3, stride=2, bias=False, rng=rng)
         self.norm = BatchNorm2d(out_channels)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -107,9 +106,8 @@ class MambaBranch(Module):
         pos = ad.bilinear_resize(self.pos_table, h, w)
         z = ad.add_map(z, pos)
         z = ad.silu(self.dwconv(z))
-        z = multi_directional_mix(z, self.ssm, path_table(h, w),
-                                  self.mix_norm.gamma, self.mix_norm.beta,
-                                  eps=self.mix_norm.eps)
+        z = directional_scan_sum(z, self.ssm)
+        z = ad.moveaxis(self.mix_norm(ad.moveaxis(z, 1, 3)), 3, 1)  # norm over channels
         return self.out_norm(self.out_proj(z))
 
 

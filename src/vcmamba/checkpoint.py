@@ -18,7 +18,8 @@ Entries cover named parameters and named buffers (BN running statistics
 included), so a round trip reproduces eval-mode behaviour exactly. A save
 writes and fsyncs a temporary file, then renames it over the target, so a
 failed or interrupted save leaves the previous checkpoint intact. Loading
-rejects wrong magic (format error), unknown versions (version error) and any
+rejects wrong magic, a header dtype other than float32/float64 and entries
+tagged otherwise (format errors), unknown versions (version error) and any
 truncation or corruption (integrity error, no partially loaded model).
 """
 
@@ -135,6 +136,8 @@ def load_checkpoint(path: str) -> VCMamba:
         dtype = np.dtype(header["dtype"])
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointFormatError(f"unreadable checkpoint header: {exc}") from exc
+    if dtype not in _DTYPE_TAGS:
+        raise CheckpointFormatError(f"checkpoint dtype {dtype.name} is not float32 or float64")
 
     model = VCMamba(spec, seed=0, dtype=dtype)
     target = dict(_named_state(model))
@@ -144,8 +147,9 @@ def load_checkpoint(path: str) -> VCMamba:
         (nlen,) = r.unpack("<H")
         name = bytes(r.take(nlen)).decode("utf-8")
         tag, ndim = r.unpack("<BB")
-        if tag not in _TAG_DTYPES:
-            raise CheckpointFormatError(f"unknown dtype tag {tag} for entry {name!r}")
+        if tag != _DTYPE_TAGS[dtype]:
+            raise CheckpointFormatError(f"entry {name!r} has dtype tag {tag}, but the header "
+                                        f"says {dtype.name} (tag {_DTYPE_TAGS[dtype]})")
         shape = r.unpack(f"<{ndim}I")
         n_items = int(np.prod(shape, dtype=np.int64)) if ndim else 1
         raw = r.take(n_items * _TAG_DTYPES[tag].itemsize)

@@ -77,6 +77,9 @@ class TrainConfig:
             raise ValidationError(f"checkpoint_every must be >= 1, got {self.checkpoint_every}")
         if self.n_samples < 1:
             raise ValidationError(f"n_samples must be >= 1, got {self.n_samples}")
+        for key, seed in (("[train] seed", self.seed), ("[data] seed", self.data_seed)):
+            if seed < 0:
+                raise ValidationError(f"{key} must be >= 0, got {seed}")
         if not self.checkpoint_path or not self.log_path:
             raise ValidationError("checkpoint and log paths must be non-empty")
         return self

@@ -83,6 +83,8 @@ class ToyDataset:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be positive, got {self.n_samples}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.resolution < 8:
             raise ValueError(f"resolution must be at least 8, got {self.resolution}")
         imgs = np.empty((self.n_samples, 3, self.resolution, self.resolution), dtype=np.float32)

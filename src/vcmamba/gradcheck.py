@@ -17,6 +17,9 @@ import numpy as np
 
 from .autodiff import Tape, Tensor, backward
 
+STEP = 1e-4         # central-difference step
+TOLERANCE = 1e-3    # largest mixed error that passes
+
 
 @dataclass
 class GradCheckReport:
@@ -37,7 +40,6 @@ class GradCheckReport:
 
 
 def finite_diff_check(f: Callable[[], Tensor], wrt: Sequence[Tensor], *,
-                      step: float = 1e-4, tolerance: float = 1e-3,
                       max_coords_per_tensor: int | None = None,
                       rng: np.random.Generator | None = None) -> GradCheckReport:
     """Compare tape gradients of a scalar function against central differences.
@@ -83,12 +85,12 @@ def finite_diff_check(f: Callable[[], Tensor], wrt: Sequence[Tensor], *,
         t_err = 0.0
         for c in coords:
             orig = flat[c]
-            flat[c] = orig + step
+            flat[c] = orig + STEP
             up = f().item()
-            flat[c] = orig - step
+            flat[c] = orig - STEP
             down = f().item()
             flat[c] = orig
-            numeric = (up - down) / (2.0 * step)
+            numeric = (up - down) / (2.0 * STEP)
             a = analytic[i].reshape(-1)[c]
             err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
             n_checked += 1
@@ -99,7 +101,7 @@ def finite_diff_check(f: Callable[[], Tensor], wrt: Sequence[Tensor], *,
                 worst = (label, np.unravel_index(int(c), t.shape))
         per_tensor[label] = t_err
 
-    return GradCheckReport(passed=max_err <= tolerance, max_error=max_err,
-                           tolerance=tolerance, step=step, n_coords=n_checked,
+    return GradCheckReport(passed=max_err <= TOLERANCE, max_error=max_err,
+                           tolerance=TOLERANCE, step=STEP, n_coords=n_checked,
                            worst_tensor=worst[0], worst_index=tuple(worst[1]),
                            per_tensor=per_tensor)

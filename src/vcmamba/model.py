@@ -202,16 +202,14 @@ def _mlp_macs(channels: int, side_h: int, side_w: int) -> int:
 
 def _mdm_macs(channels: int, side_h: int, side_w: int, n_state: int) -> int:
     d = MAMBA_EXPANSION * channels
-    rank = delta_rank(d)
     l = side_h * side_w
-    inner = l * d * channels          # in-projection
-    inner += l * d * 9                # depthwise conv
-    per_path = 2 * l * n_state * d    # B and C projections
-    per_path += 2 * l * rank * d      # low-rank delta head
-    per_path += 5 * l * d * n_state   # discretize (2), input term, recurrence, readout
-    per_path += l * d                 # skip term
-    inner += len(PathId) * per_path
-    inner += l * channels * d         # out-projection
+    inner = l * d * channels                  # in-projection
+    inner += l * d * 9                        # depthwise conv
+    inner += 2 * l * n_state * d              # B and C projections, once on the raster tokens
+    inner += 2 * l * delta_rank(d) * d        # low-rank delta head, likewise
+    # per path: discretize (2), input term, recurrence and readout per state, then the skip
+    inner += len(PathId) * l * d * (5 * n_state + 1)
+    inner += l * channels * d                 # out-projection
     return inner + _mlp_macs(channels, side_h, side_w)
 
 

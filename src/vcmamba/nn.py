@@ -117,10 +117,10 @@ class ModuleList(Module):
 
 class Conv2d(Module):
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int, *,
-                 stride: int = 1, padding: int = 0, bias: bool = True, rng: np.random.Generator):
+                 stride: int = 1, bias: bool = True, rng: np.random.Generator):
         super().__init__()
         self.stride = stride
-        self.padding = padding
+        self.padding = kernel_size // 2      # 3x3 pads 1, 1x1 pads 0
         shape = (out_channels, in_channels, kernel_size, kernel_size)
         self.weight = Tensor(trunc_normal(rng, shape), requires_grad=True)
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True) if bias else None

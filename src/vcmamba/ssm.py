@@ -27,14 +27,13 @@ folded into the batch axis, scanned, scattered back and summed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeMismatch, Tensor
 from .nn import Module, trunc_normal
-from .scanpath import Direction, ScanPath, gather_tokens, scatter_tokens
+from .scanpath import Direction, gather_tokens, path_table, scatter_tokens
 
 N_DIRECTIONS = len(Direction)
 
@@ -63,12 +62,10 @@ class SsmParams(Module):
     direction code.
     """
 
-    def __init__(self, d_inner: int, n_state: int = 16, *, rng: np.random.Generator | None = None):
+    def __init__(self, d_inner: int, n_state: int = 16, *, rng: np.random.Generator):
         super().__init__()
         if d_inner < 1 or n_state < 1:
             raise ValueError(f"d_inner and n_state must be positive, got {d_inner}, {n_state}")
-        if rng is None:
-            rng = np.random.default_rng(0)
         self.d_inner = d_inner
         self.n_state = n_state
         self.dt_rank = delta_rank(d_inner)
@@ -289,27 +286,15 @@ def direction_aware_scan(inputs: ScanInputs, params: SsmParams, *,
                            with_directions=True, scan=scan)[0]
 
 
-def directional_scan_sum(features: Tensor, params: SsmParams,
-                         paths: Sequence[ScanPath]) -> Tensor:
-    """Scan every path of a (B, D, H, W) map in one call, paths folded into
-    the batch, and sum the rescattered results (the pre-normalization mix).
+def directional_scan_sum(features: Tensor, params: SsmParams) -> Tensor:
+    """Scan the four paths of a (B, D, H, W) map's grid (path_table) in one
+    call, paths folded into the batch, and sum the rescattered results.
     The projection is tokenwise, so it runs once, in raster order."""
     bsz, d, h, w = features.shape
+    paths = path_table(h, w)
     proj = selective_projection(ad.reshape(features, (bsz, d, h * w)), params)
     folded = [gather_tokens(ad.reshape(t, (bsz, t.shape[1], h, w)), paths)
               for t in (proj.delta, proj.b_seq, proj.c_seq)]
     dirs = np.repeat(np.stack([path.dirs for path in paths]), bsz, axis=0)
     inputs = ScanInputs(gather_tokens(features, paths), *folded, dirs=dirs)
     return scatter_tokens(direction_aware_scan(inputs, params), paths)
-
-
-def multi_directional_mix(features: Tensor, params: SsmParams, paths: Sequence[ScanPath],
-                          ln_gamma: Tensor, ln_beta: Tensor, *, eps: float = 1e-5) -> Tensor:
-    """Four-path scan mix (directional_scan_sum), then layer norm over the
-    channel axis at every spatial position."""
-    if not paths:
-        raise ValueError("multi_directional_mix needs at least one path")
-    mixed = directional_scan_sum(features, params, paths)
-    moved = ad.moveaxis(mixed, 1, 3)                        # (B, H, W, D)
-    normed = ad.layer_norm(moved, ln_gamma, ln_beta, eps=eps)
-    return ad.moveaxis(normed, 3, 1)

@@ -266,6 +266,24 @@ class TestActivations:
         assert np.all(y.data[1:] > 0)
         assert y.data[-1] == pytest.approx(1e4)
 
+    @pytest.mark.parametrize("op, owner, name", [(ad.gelu, np, "exp"),
+                                                 (ad.softplus, ad, "expit")])
+    def test_slope_is_computed_only_by_the_tape(self, rng, monkeypatch, op, owner, name):
+        x = t64(rng.normal(size=(3, 4)), name="x")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{op.__name__} called {name} outside a tape")
+
+        with monkeypatch.context() as m:     # no tape: nothing will read the slope
+            m.setattr(owner, name, refuse)
+            op(x)
+
+        def f():
+            y = op(x)
+            return ad.sum_all(ad.mul(y, y))
+
+        assert_grads_ok(f, [x])             # inside a tape the vjp computes it
+
 
 # ---------------------------------------------------------------------------
 # linear / conv layers against loop oracles

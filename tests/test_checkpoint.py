@@ -3,6 +3,7 @@ kind of damage (truncation, flipped bytes, wrong magic, wrong version,
 renamed entries, trailing garbage)."""
 
 import errno
+import json
 import os
 import struct
 import tracemalloc
@@ -39,6 +40,18 @@ def rewrite(path, mutate):
     blob = path.read_bytes()
     body = mutate(bytearray(blob[:-4]))
     path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
+
+
+def rewrite_header_dtype(path, dtype):
+    """Set the header's dtype field, re-encoding the header and re-sealing the CRC."""
+    def mutate(body):
+        (hlen,) = struct.unpack("<I", body[8:12])
+        header = json.loads(bytes(body[12:12 + hlen]))
+        header["dtype"] = dtype
+        raw = json.dumps(header).encode("utf-8")
+        return body[:8] + struct.pack("<I", len(raw)) + raw + body[12 + hlen:]
+
+    rewrite(path, mutate)
 
 
 class TestRoundTrip:
@@ -135,6 +148,23 @@ class TestRejection:
 
         rewrite(ckpt, mutate)
         with pytest.raises(CheckpointFormatError, match="does not exist|missing"):
+            load_checkpoint(str(ckpt))
+
+    @pytest.mark.parametrize("dtype", ["int8", "float16", "complex64"])
+    def test_header_dtype_outside_float32_float64(self, ckpt, dtype):
+        rewrite_header_dtype(ckpt, dtype)
+        with pytest.raises(CheckpointFormatError, match=f"dtype {dtype} is not float32"):
+            load_checkpoint(str(ckpt))
+
+    @pytest.mark.parametrize("saved, claimed", [(np.float64, "float32"),
+                                                (np.float32, "float64")])
+    def test_entry_dtype_differs_from_header(self, tmp_path, saved, claimed):
+        # a valid file whose header disagrees with its entries must not be
+        # rounded or widened into the header's dtype
+        ckpt = tmp_path / "mixed.ckpt"
+        save_checkpoint(scrambled_model(dtype=saved), str(ckpt))
+        rewrite_header_dtype(ckpt, claimed)
+        with pytest.raises(CheckpointFormatError, match=f"header says {claimed}"):
             load_checkpoint(str(ckpt))
 
     def test_trailing_garbage(self, ckpt):

@@ -136,6 +136,7 @@ n_samples = 16
         assert main(["train", "--config", str(cfg)]) == 2
         assert "non-finite loss" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in logaddexp:RuntimeWarning")
     def test_nonfinite_scan_state_exit_code(self, tmp_path, capsys, monkeypatch):
         # a NaN delta reached through the weights is a runtime failure, not bad input
         cfg = tmp_path / "t.cfg"

@@ -1,6 +1,7 @@
 """Config file parsing and validation tests."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -137,6 +138,13 @@ class TestRejection:
         cfg = dataclasses.replace(TrainConfig(), **{field: value})
         with pytest.raises(ValidationError, match=msg):
             cfg.validate()
+
+    @pytest.mark.parametrize("text, key", [("[train]\nseed = -1\n", "[train] seed"),
+                                           ("[data]\nseed = -2\n", "[data] seed")],
+                             ids=["train", "data"])
+    def test_negative_seed_names_its_key(self, tmp_path, text, key):
+        with pytest.raises(ValidationError, match=re.escape(key) + " must be >= 0"):
+            load_train_config(write(tmp_path, text))
 
     def test_validation_error_is_a_value_error(self):
         assert issubclass(ValidationError, ValueError)

@@ -86,3 +86,8 @@ class TestToyDataset:
             ToyDataset(0)
         with pytest.raises(ValueError):
             ToyDataset(4, resolution=4)
+
+    def test_negative_seed_rejected_by_name(self):
+        # numpy's own error ("expected non-negative integer") names no argument
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            ToyDataset(4, seed=-1)

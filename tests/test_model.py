@@ -331,6 +331,17 @@ class TestMacCounts:
         with pytest.raises(ValueError, match="multiple of 32"):
             count_macs(get_preset("nano"), 50)
 
+    def test_mdm_block_by_hand(self):
+        # stage 4 at a 1x1 grid: channels 4, inner width 8, delta rank 1, 16 states
+        spec = ModelSpec("a", (4, 4, 4, 4), ("F", "F", "F", "M"), 10, 32)
+        c, d, rank, n, l = 4, 8, 1, 16, 1
+        mamba = l * d * c + l * d * 9 + l * c * d                # in-proj, dwconv, out-proj
+        mamba += 2 * l * n * d + 2 * l * rank * d                 # B/C and delta, once
+        mamba += 4 * (5 * l * d * n + l * d)                      # scan and skip, per path
+        mlp = l * 4 * c * c + l * 4 * c * 9 + l * c * 4 * c
+        assert mamba + mlp == 3272
+        assert count_macs(spec)["sections"]["stage4"] == 3272
+
     def test_mdm_beats_ffn_at_same_width(self):
         # a Mamba block strictly contains an FFN block, so it must cost more
         with_m = count_macs(ModelSpec("a", (4, 4, 4, 4), ("F", "F", "F", "M"), 10, 32))

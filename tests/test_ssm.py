@@ -12,14 +12,20 @@ import pytest
 
 import vcmamba.autodiff as ad
 from vcmamba.autodiff import ShapeMismatch, Tape, Tensor, backward
+from vcmamba.nn import LayerNorm
 from vcmamba.scanpath import Direction, build_path, path_table
 from vcmamba.ssm import (N_DIRECTIONS, NonFiniteStateError, ScanInputs, SsmParams,
                          _pair_scan_doubling, _pair_scan_sequential,
                          direction_aware_scan, directional_scan_sum, discretize,
-                         multi_directional_mix, selective_projection,
-                         selective_scan_parallel, selective_scan_sequential)
+                         selective_projection, selective_scan_parallel,
+                         selective_scan_sequential)
 
 F64 = np.float64
+
+
+def channel_norm(fmap, norm):
+    """LayerNorm over the channel axis of a (B, D, H, W) map, as MambaBranch applies it."""
+    return ad.moveaxis(norm(ad.moveaxis(fmap, 1, 3)), 3, 1)
 
 
 def make_params(d, n, dtype=F64, seed=0):
@@ -99,9 +105,9 @@ class TestSsmParams:
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ValueError):
-            SsmParams(0, 4)
+            SsmParams(0, 4, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            SsmParams(4, 0)
+            SsmParams(4, 0, rng=np.random.default_rng(0))
 
     def test_all_tensors_require_grad(self):
         p = make_params(4, 4)
@@ -469,7 +475,7 @@ class TestDirectionalMix:
         p.direction_table.data[:] = rng.normal(size=(N_DIRECTIONS, 4)) * 0.2
         fmap = Tensor(rng.normal(size=(2, 3, 1, 1)), dtype=F64)
         paths = path_table(1, 1)
-        total = directional_scan_sum(fmap, p, paths)
+        total = directional_scan_sum(fmap, p)
 
         tokens = fmap.data.reshape(2, 3, 1)
         inp = selective_projection(Tensor(tokens, dtype=F64), p)
@@ -483,7 +489,7 @@ class TestDirectionalMix:
         p.direction_table.data[:] = rng.normal(size=(N_DIRECTIONS, 4)) * 0.2
         fmap = Tensor(rng.normal(size=(1, 3, 3, 4)), dtype=F64)
         paths = path_table(3, 4)
-        total = directional_scan_sum(fmap, p, paths)
+        total = directional_scan_sum(fmap, p)
 
         expected = np.zeros_like(fmap.data)
         for path in paths:
@@ -515,7 +521,7 @@ class TestDirectionalMix:
 
         wrt = [fmap] + [t for _, t in p.named_parameters()]
         grads = []
-        for mix in (lambda: directional_scan_sum(fmap, p, paths), per_path):
+        for mix in (lambda: directional_scan_sum(fmap, p), per_path):
             for t in wrt:
                 t.grad = None
             with Tape():
@@ -530,34 +536,24 @@ class TestDirectionalMix:
         d = 8
         p = make_params(d, 4)
         fmap = Tensor(rng.normal(size=(2, d, 3, 3)), dtype=F64)
-        gamma = Tensor(np.ones(d), dtype=F64)
-        beta = Tensor(np.zeros(d), dtype=F64)
-        out = multi_directional_mix(fmap, p, path_table(3, 3), gamma, beta)
+        out = channel_norm(directional_scan_sum(fmap, p), LayerNorm(d).to(F64))
         assert out.shape == (2, d, 3, 3)
         np.testing.assert_allclose(out.data.mean(axis=1), 0.0, atol=1e-10)
         np.testing.assert_allclose(out.data.var(axis=1), 1.0, atol=1e-3)
-
-    def test_mix_requires_paths(self, rng):
-        p = make_params(3, 4)
-        fmap = Tensor(rng.normal(size=(1, 3, 2, 2)), dtype=F64)
-        with pytest.raises(ValueError, match="at least one path"):
-            multi_directional_mix(fmap, p, (), Tensor(np.ones(3)), Tensor(np.zeros(3)))
 
     def test_mix_gradients(self, rng):
         from vcmamba.gradcheck import finite_diff_check
 
         d = 4
         p = make_params(d, 3)
+        norm = LayerNorm(d).to(F64)
         fmap = Tensor(rng.normal(size=(1, d, 2, 2)), requires_grad=True, dtype=F64,
                       name="fmap")
-        gamma = Tensor(np.ones(d), requires_grad=True, dtype=F64, name="gamma")
-        beta = Tensor(np.zeros(d), requires_grad=True, dtype=F64, name="beta")
-        paths = path_table(2, 2)
 
         def f():
-            y = multi_directional_mix(fmap, p, paths, gamma, beta)
+            y = channel_norm(directional_scan_sum(fmap, p), norm)
             return ad.sum_all(ad.mul(y, y))
 
-        wrt = [fmap, gamma, beta, p.a_log, p.direction_table, p.b_proj]
+        wrt = [fmap, norm.gamma, norm.beta, p.a_log, p.direction_table, p.b_proj]
         report = finite_diff_check(f, wrt, max_coords_per_tensor=10)
         assert report.passed, str(report)

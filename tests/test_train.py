@@ -243,6 +243,7 @@ class TestTrainLoop:
         for (_, p1), (_, p2) in zip(init.named_parameters(), saved.named_parameters()):
             np.testing.assert_array_equal(p1.data, p2.data)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in logaddexp:RuntimeWarning")
     def test_nonfinite_scan_state_is_divergence(self, tmp_path, monkeypatch):
         # weights that turn a scan's delta NaN mid-run are a runtime fault:
         # TrainingDiverged (CLI exit 2), not an operand error (exit 1), with

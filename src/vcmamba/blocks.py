@@ -15,11 +15,9 @@ Convolutions directly followed by a BN carry no bias.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import autodiff as ad
 from .autodiff import ShapeMismatch, Tensor
-from .nn import BatchNorm2d, Conv2d, DepthwiseConv2d, LayerNorm, Module, trunc_normal
+from .nn import BatchNorm2d, Conv2d, DepthwiseConv2d, LayerNorm, Module
 from .ssm import SsmParams, directional_scan_sum
 
 FFN_EXPANSION = 4     # ConvMlp hidden width, in multiples of the block channels
@@ -27,12 +25,12 @@ MAMBA_EXPANSION = 2   # MambaBranch inner (scan) width, in multiples of the bloc
 
 
 class Stem(Module):
-    def __init__(self, out_channels: int, *, rng: np.random.Generator):
+    def __init__(self, out_channels: int):
         super().__init__()
         mid = max(1, out_channels // 2)
-        self.conv1 = Conv2d(3, mid, 3, stride=2, bias=False, rng=rng)
+        self.conv1 = Conv2d(3, mid, 3, stride=2, bias=False)
         self.norm1 = BatchNorm2d(mid)
-        self.conv2 = Conv2d(mid, out_channels, 3, stride=2, bias=False, rng=rng)
+        self.conv2 = Conv2d(mid, out_channels, 3, stride=2, bias=False)
         self.norm2 = BatchNorm2d(out_channels)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -45,14 +43,14 @@ class Stem(Module):
 class ConvMlp(Module):
     """The FFN transform without its residual: expand, depthwise, project."""
 
-    def __init__(self, channels: int, *, rng: np.random.Generator):
+    def __init__(self, channels: int):
         super().__init__()
         hidden = channels * FFN_EXPANSION
-        self.expand = Conv2d(channels, hidden, 1, bias=False, rng=rng)
+        self.expand = Conv2d(channels, hidden, 1, bias=False)
         self.norm1 = BatchNorm2d(hidden)
-        self.dwconv = DepthwiseConv2d(hidden, bias=False, rng=rng)
+        self.dwconv = DepthwiseConv2d(hidden, bias=False)
         self.norm2 = BatchNorm2d(hidden)
-        self.project = Conv2d(hidden, channels, 1, bias=True, rng=rng)
+        self.project = Conv2d(hidden, channels, 1, bias=True)
 
     def forward(self, x: Tensor) -> Tensor:
         x = ad.gelu(self.norm1(self.expand(x)))
@@ -61,18 +59,18 @@ class ConvMlp(Module):
 
 
 class FfnBlock(Module):
-    def __init__(self, channels: int, *, rng: np.random.Generator):
+    def __init__(self, channels: int):
         super().__init__()
-        self.mlp = ConvMlp(channels, rng=rng)
+        self.mlp = ConvMlp(channels)
 
     def forward(self, x: Tensor) -> Tensor:
         return ad.add(x, self.mlp(x))
 
 
 class DownsampleLayer(Module):
-    def __init__(self, in_channels: int, out_channels: int, *, rng: np.random.Generator):
+    def __init__(self, in_channels: int, out_channels: int):
         super().__init__()
-        self.conv = Conv2d(in_channels, out_channels, 3, stride=2, bias=False, rng=rng)
+        self.conv = Conv2d(in_channels, out_channels, 3, stride=2, bias=False)
         self.norm = BatchNorm2d(out_channels)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -84,20 +82,19 @@ class MambaBranch(Module):
     depthwise conv + SiLU, four-path direction-aware scan mix with a channel
     layer norm, 1x1 out-projection + BN."""
 
-    def __init__(self, channels: int, native_grid: tuple[int, int], *, n_state: int = 16,
-                 rng: np.random.Generator):
+    def __init__(self, channels: int, native_grid: tuple[int, int], *, n_state: int = 16):
         super().__init__()
         d_inner = MAMBA_EXPANSION * channels
         gh, gw = native_grid
         if gh < 1 or gw < 1:
             raise ValueError(f"native grid must be positive, got {native_grid}")
         self.d_inner = d_inner
-        self.in_proj = Conv2d(channels, d_inner, 1, bias=True, rng=rng)
-        self.pos_table = Tensor(trunc_normal(rng, (d_inner, gh, gw)), requires_grad=True)
-        self.dwconv = DepthwiseConv2d(d_inner, bias=True, rng=rng)
-        self.ssm = SsmParams(d_inner, n_state, rng=rng)
+        self.in_proj = Conv2d(channels, d_inner, 1, bias=True)
+        self.declare("pos_table", (d_inner, gh, gw))
+        self.dwconv = DepthwiseConv2d(d_inner, bias=True)
+        self.ssm = SsmParams(d_inner, n_state)
         self.mix_norm = LayerNorm(d_inner)
-        self.out_proj = Conv2d(d_inner, channels, 1, bias=False, rng=rng)
+        self.out_proj = Conv2d(d_inner, channels, 1, bias=False)
         self.out_norm = BatchNorm2d(channels)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -115,13 +112,12 @@ class MdmBlock(Module):
     """Mamba mixing then ConvMLP, each residual with its own entry BN:
     x1 = x + mamba(BN(x)); out = x1 + mlp(BN(x1))."""
 
-    def __init__(self, channels: int, native_grid: tuple[int, int], *, n_state: int = 16,
-                 rng: np.random.Generator):
+    def __init__(self, channels: int, native_grid: tuple[int, int], *, n_state: int = 16):
         super().__init__()
         self.norm1 = BatchNorm2d(channels)
-        self.mamba = MambaBranch(channels, native_grid, n_state=n_state, rng=rng)
+        self.mamba = MambaBranch(channels, native_grid, n_state=n_state)
         self.norm2 = BatchNorm2d(channels)
-        self.mlp = ConvMlp(channels, rng=rng)
+        self.mlp = ConvMlp(channels)
 
     def forward(self, x: Tensor) -> Tensor:
         x = ad.add(x, self.mamba(self.norm1(x)))

@@ -20,7 +20,8 @@ writes and fsyncs a temporary file, then renames it over the target, so a
 failed or interrupted save leaves the previous checkpoint intact. Loading
 rejects wrong magic, a header dtype other than float32/float64 and entries
 tagged otherwise (format errors), unknown versions (version error) and any
-truncation or corruption (integrity error, no partially loaded model).
+truncation or corruption (integrity error, no partially loaded model). A load
+draws nothing: it fills VCMamba.undrawn(spec), and a missing entry is an error.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ def load_checkpoint(path: str) -> VCMamba:
     if dtype not in _DTYPE_TAGS:
         raise CheckpointFormatError(f"checkpoint dtype {dtype.name} is not float32 or float64")
 
-    model = VCMamba(spec, seed=0, dtype=dtype)
+    model = VCMamba.undrawn(spec).to(dtype)
     target = dict(_named_state(model))
     seen = set()
     (count,) = r.unpack("<I")

@@ -91,7 +91,7 @@ def random_scan_instance(rng: np.random.Generator, length: int, d_inner: int, n_
                          batch: int, dtype, with_dirs: bool = False):
     """Magnitude-controlled random operands: delta in the init range, B/C
     scaled by 1/sqrt(N) so outputs stay O(1)."""
-    params = SsmParams(d_inner, n_state, rng=rng).to(dtype)
+    params = SsmParams(d_inner, n_state).draw(rng).to(dtype)
     scale = 1.0 / np.sqrt(n_state)
     x = Tensor(rng.standard_normal((batch, d_inner, length)), dtype=dtype)
     delta = Tensor(rng.uniform(0.001, 0.25, size=(batch, d_inner, length)), dtype=dtype)
@@ -276,13 +276,13 @@ def check_residual_passthrough() -> CheckResult:
     rng = np.random.default_rng(29)
     x = Tensor(rng.standard_normal((2, 8, 5, 5)), dtype=np.float64)
 
-    ffn = FfnBlock(8, rng=np.random.default_rng(1)).to(np.float64).eval()
+    ffn = FfnBlock(8).draw(np.random.default_rng(1)).to(np.float64).eval()
     ffn.mlp.project.weight.data[...] = 0.0
     ffn.mlp.project.bias.data[...] = 0.0
     if not np.array_equal(ffn(x).data, x.data):
         return _result("residual_passthrough", False, "FFN with zero projection is not identity")
 
-    mdm = MdmBlock(8, (5, 5), rng=np.random.default_rng(2)).to(np.float64).eval()
+    mdm = MdmBlock(8, (5, 5)).draw(np.random.default_rng(2)).to(np.float64).eval()
     mdm.mamba.out_proj.weight.data[...] = 0.0
     mdm.mamba.out_norm.beta.data[...] = 0.0
     mdm.mlp.project.weight.data[...] = 0.0
@@ -317,7 +317,7 @@ def check_param_counts() -> CheckResult:
     targets = {"S": 10.5e6, "M": 21.0e6, "B": 31.5e6}
     details = []
     for name, target in targets.items():
-        total = count_params(VCMamba(PRESETS[name], seed=0))["total"]
+        total = count_params(VCMamba.undrawn(PRESETS[name]))["total"]
         details.append(f"{name}={total / 1e6:.2f}M")
         if abs(total - target) > 0.10 * target:
             return _result("param_counts", False,

@@ -37,7 +37,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _cmd_params(args) -> int:
     spec = get_preset(args.preset)
-    table = count_params(VCMamba(spec, seed=0))
+    table = count_params(VCMamba.undrawn(spec))
     print(f"preset {spec.name}: channels {spec.channels}, blocks {'/'.join(spec.stage_blocks)}")
     width = max(len(k) for k in table["sections"])
     for section, count in table["sections"].items():

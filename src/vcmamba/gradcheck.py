@@ -48,12 +48,14 @@ def finite_diff_check(f: Callable[[], Tensor], wrt: Sequence[Tensor], *,
     every call; wrt lists the float64 requires_grad tensors f reads, which
     are perturbed in place and restored. f must be deterministic given wrt
     (running-stat bookkeeping aside). When max_coords_per_tensor is set, a
-    seeded subsample of coordinates is checked per tensor; otherwise every
-    coordinate is swept.
+    subsample of coordinates drawn from rng, which must then be given, is
+    checked per tensor; otherwise every coordinate is swept.
     """
     wrt = list(wrt)
     if not wrt:
         raise ValueError("finite_diff_check needs at least one tensor to differentiate")
+    if max_coords_per_tensor is not None and rng is None:
+        raise ValueError("subsampling coordinates (max_coords_per_tensor) needs an explicit rng")
     for i, t in enumerate(wrt):
         if t.dtype != np.float64:
             raise ValueError(f"gradient checks run in float64; tensor {i} "
@@ -68,9 +70,6 @@ def finite_diff_check(f: Callable[[], Tensor], wrt: Sequence[Tensor], *,
     analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in wrt]
     for t in wrt:
         t.zero_grad()
-
-    if max_coords_per_tensor is not None and rng is None:
-        rng = np.random.default_rng(0)
 
     max_err = 0.0
     worst = ("", ())

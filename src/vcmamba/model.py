@@ -113,16 +113,15 @@ def get_preset(name: str) -> ModelSpec:
 
 
 class Stage(Module):
-    def __init__(self, channels: int, kinds: str, native_grid: tuple[int, int], *,
-                 n_state: int, rng: np.random.Generator):
+    def __init__(self, channels: int, kinds: str, native_grid: tuple[int, int], *, n_state: int):
         super().__init__()
         self.entry_norm = BatchNorm2d(channels)
         blocks = []
         for kind in kinds:
             if kind == "F":
-                blocks.append(FfnBlock(channels, rng=rng))
+                blocks.append(FfnBlock(channels))
             else:
-                blocks.append(MdmBlock(channels, native_grid, n_state=n_state, rng=rng))
+                blocks.append(MdmBlock(channels, native_grid, n_state=n_state))
         self.blocks = ModuleList(blocks)
         self.exit_norm = BatchNorm2d(channels)
 
@@ -134,28 +133,34 @@ class Stage(Module):
 
 
 class VCMamba(Module):
-    """Build is fully determined by (spec, seed, dtype): parameter names,
-    shapes and initial values are reproducible bit for bit. The build draws
-    in float32; another dtype gets those values cast by Module.to."""
+    """Build is fully determined by (spec, seed): names, shapes and float32
+    initial values are reproducible bit for bit. VCMamba.undrawn(spec) is the
+    same tree, every declared parameter zero, for callers that fill or count it."""
 
-    def __init__(self, spec: ModelSpec, *, seed: int = 0, dtype=ad.DEFAULT_DTYPE):
+    def __init__(self, spec: ModelSpec, *, seed: int = 0):
+        self._build(spec).draw(np.random.default_rng(seed))
+
+    @classmethod
+    def undrawn(cls, spec: ModelSpec) -> "VCMamba":
+        return cls.__new__(cls)._build(spec)
+
+    def _build(self, spec: ModelSpec) -> "VCMamba":
         super().__init__()
-        rng = np.random.default_rng(seed)
         self.spec = spec
         c, kinds, n_state = spec.channels, spec.stage_blocks, spec.n_state
         side = spec.input_resolution // REDUCTION
         native_grid = (side, side)
 
-        self.stem = Stem(c[0], rng=rng)
-        self.stage1 = Stage(c[0], kinds[0], native_grid, n_state=n_state, rng=rng)
-        self.down1 = DownsampleLayer(c[0], c[1], rng=rng)
-        self.stage2 = Stage(c[1], kinds[1], native_grid, n_state=n_state, rng=rng)
-        self.down2 = DownsampleLayer(c[1], c[2], rng=rng)
-        self.stage3 = Stage(c[2], kinds[2], native_grid, n_state=n_state, rng=rng)
-        self.down3 = DownsampleLayer(c[2], c[3], rng=rng)
-        self.stage4 = Stage(c[3], kinds[3], native_grid, n_state=n_state, rng=rng)
-        self.head = Linear(c[3], spec.num_classes, rng=rng)
-        self.to(dtype)
+        self.stem = Stem(c[0])
+        self.stage1 = Stage(c[0], kinds[0], native_grid, n_state=n_state)
+        self.down1 = DownsampleLayer(c[0], c[1])
+        self.stage2 = Stage(c[1], kinds[1], native_grid, n_state=n_state)
+        self.down2 = DownsampleLayer(c[1], c[2])
+        self.stage3 = Stage(c[2], kinds[2], native_grid, n_state=n_state)
+        self.down3 = DownsampleLayer(c[2], c[3])
+        self.stage4 = Stage(c[3], kinds[3], native_grid, n_state=n_state)
+        self.head = Linear(c[3], spec.num_classes)
+        return self
 
     @property
     def dtype(self) -> np.dtype:

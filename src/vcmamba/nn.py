@@ -3,9 +3,10 @@
 Modules register parameters (Tensors), buffers (plain arrays, e.g. batch
 norm running statistics) and child modules at attribute assignment, and walk
 them recursively with stable dotted names. Insertion order is construction
-order, which makes parameter iteration, initialization and serialization
-deterministic. Layers are built in the default float32; Module.to casts a
-whole tree to another dtype.
+order, which makes parameter iteration and serialization deterministic.
+Module.declare registers a random parameter as zeros; Module.draw fills each in
+float32 from one generator in attribute insertion order, not named_parameters
+order (own before children's). Module.to casts a whole tree to another dtype.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ class Module:
         object.__setattr__(self, "_params", {})
         object.__setattr__(self, "_buffers", {})
         object.__setattr__(self, "_children", {})
+        object.__setattr__(self, "_inits", {})
         object.__setattr__(self, "training", True)
 
     def __setattr__(self, name: str, value) -> None:
@@ -51,6 +53,20 @@ class Module:
     def register_buffer(self, name: str, value: np.ndarray) -> None:
         self._buffers[name] = value
         object.__setattr__(self, name, value)
+
+    def declare(self, name: str, shape: tuple[int, ...], init=trunc_normal) -> None:
+        """Register a parameter that init(rng, shape) draws in float32; zeros until draw."""
+        self._inits[name] = init
+        setattr(self, name, Tensor(np.zeros(shape, ad.DEFAULT_DTYPE), requires_grad=True))
+
+    def draw(self, rng: np.random.Generator) -> "Module":
+        """Draw every declared parameter (the same Tensor objects) in insertion order."""
+        for name, value in vars(self).items():
+            if name in self._inits:
+                value.data = self._inits[name](rng, value.shape).astype(value.dtype, copy=False)
+            elif isinstance(value, Module):
+                value.draw(rng)
+        return self
 
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
         for name, p in self._params.items():
@@ -117,12 +133,11 @@ class ModuleList(Module):
 
 class Conv2d(Module):
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int, *,
-                 stride: int = 1, bias: bool = True, rng: np.random.Generator):
+                 stride: int = 1, bias: bool = True):
         super().__init__()
         self.stride = stride
         self.padding = kernel_size // 2      # 3x3 pads 1, 1x1 pads 0
-        shape = (out_channels, in_channels, kernel_size, kernel_size)
-        self.weight = Tensor(trunc_normal(rng, shape), requires_grad=True)
+        self.declare("weight", (out_channels, in_channels, kernel_size, kernel_size))
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
@@ -132,9 +147,9 @@ class Conv2d(Module):
 class DepthwiseConv2d(Module):
     """3x3 per-channel convolution, stride 1, padding 1 (shape-preserving)."""
 
-    def __init__(self, channels: int, *, bias: bool, rng: np.random.Generator):
+    def __init__(self, channels: int, *, bias: bool):
         super().__init__()
-        self.weight = Tensor(trunc_normal(rng, (channels, 1, 3, 3)), requires_grad=True)
+        self.declare("weight", (channels, 1, 3, 3))
         self.bias = Tensor(np.zeros(channels), requires_grad=True) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
@@ -142,9 +157,9 @@ class DepthwiseConv2d(Module):
 
 
 class Linear(Module):
-    def __init__(self, in_features: int, out_features: int, *, rng: np.random.Generator):
+    def __init__(self, in_features: int, out_features: int):
         super().__init__()
-        self.weight = Tensor(trunc_normal(rng, (out_features, in_features)), requires_grad=True)
+        self.declare("weight", (out_features, in_features))
         self.bias = Tensor(np.zeros(out_features), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeMismatch, Tensor
-from .nn import Module, trunc_normal
+from .nn import Module
 from .scanpath import Direction, gather_tokens, path_table, scatter_tokens
 
 N_DIRECTIONS = len(Direction)
@@ -51,6 +51,12 @@ def delta_rank(d_inner: int) -> int:
     return max(1, d_inner // 32)
 
 
+def _dt_bias(rng: np.random.Generator, shape: tuple[int]) -> np.ndarray:
+    """Bias placed so softplus lands log-uniformly in [1e-3, 0.1], rounded from float64."""
+    dt = np.exp(rng.uniform(np.log(1e-3), np.log(0.1), size=shape))
+    return np.log(np.expm1(dt)).astype(ad.DEFAULT_DTYPE)
+
+
 class SsmParams(Module):
     """Parameters of one selective SSM, shared across scan directions.
 
@@ -62,7 +68,7 @@ class SsmParams(Module):
     direction code.
     """
 
-    def __init__(self, d_inner: int, n_state: int = 16, *, rng: np.random.Generator):
+    def __init__(self, d_inner: int, n_state: int = 16):
         super().__init__()
         if d_inner < 1 or n_state < 1:
             raise ValueError(f"d_inner and n_state must be positive, got {d_inner}, {n_state}")
@@ -74,13 +80,11 @@ class SsmParams(Module):
         a_init = np.log(np.arange(1, n_state + 1, dtype=np.float64))[None, :]
         self.a_log = Tensor(np.broadcast_to(a_init, (d_inner, n_state)), requires_grad=True)
         self.skip_gain = Tensor(np.ones(d_inner), requires_grad=True)
-        self.b_proj = Tensor(trunc_normal(rng, (n_state, d_inner)), requires_grad=True)
-        self.c_proj = Tensor(trunc_normal(rng, (n_state, d_inner)), requires_grad=True)
-        self.dt_down = Tensor(trunc_normal(rng, (self.dt_rank, d_inner)), requires_grad=True)
-        self.dt_up = Tensor(trunc_normal(rng, (d_inner, self.dt_rank)), requires_grad=True)
-        # bias placed so softplus lands log-uniformly in [1e-3, 0.1]
-        dt = np.exp(rng.uniform(np.log(1e-3), np.log(0.1), size=d_inner))
-        self.dt_bias = Tensor(np.log(np.expm1(dt)), requires_grad=True)
+        self.declare("b_proj", (n_state, d_inner))
+        self.declare("c_proj", (n_state, d_inner))
+        self.declare("dt_down", (self.dt_rank, d_inner))
+        self.declare("dt_up", (d_inner, self.dt_rank))
+        self.declare("dt_bias", (d_inner,), init=_dt_bias)
         self.direction_table = Tensor(np.zeros((N_DIRECTIONS, n_state)), requires_grad=True)
 
 

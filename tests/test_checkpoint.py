@@ -22,10 +22,10 @@ from vcmamba.model import ModelSpec, VCMamba, get_preset
 SPEC = ModelSpec("tiny", (4, 4, 4, 4), ("F", "F", "F", "M"), 10, 32, n_state=2)
 
 
-def scrambled_model(seed=0, dtype=np.float32):
+def scrambled_model(seed=0, dtype=np.float32, spec=SPEC):
     """A model whose parameters, buffers and direction table all differ from
     the fresh-build values, so a load that silently re-initializes fails."""
-    model = VCMamba(SPEC, seed=seed, dtype=dtype)
+    model = VCMamba(spec, seed=seed).to(dtype)
     rng = np.random.default_rng(99)
     for _, p in model.named_parameters():
         # modest scale: keep the scrambled net numerically plausible
@@ -35,11 +35,36 @@ def scrambled_model(seed=0, dtype=np.float32):
     return model
 
 
+def named_state(model):
+    return [(n, p.data) for n, p in model.named_parameters()] + list(model.named_buffers())
+
+
 def rewrite(path, mutate):
     """Apply `mutate(body) -> body` to the checkpoint body and re-seal the CRC."""
     blob = path.read_bytes()
     body = mutate(bytearray(blob[:-4]))
     path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
+
+
+def drop_entry(body, name):
+    """Remove entry `name` from a checkpoint body and decrement the entry count."""
+    (hlen,) = struct.unpack("<I", body[8:12])
+    count_at = 12 + hlen
+    (count,) = struct.unpack("<I", body[count_at:count_at + 4])
+    pos = count_at + 4
+    for _ in range(count):
+        start = pos
+        (nlen,) = struct.unpack("<H", body[pos:pos + 2])
+        entry = bytes(body[pos + 2:pos + 2 + nlen]).decode("utf-8")
+        pos += 2 + nlen
+        tag, ndim = body[pos], body[pos + 1]
+        shape = struct.unpack(f"<{ndim}I", body[pos + 2:pos + 2 + 4 * ndim])
+        pos += 2 + 4 * ndim + int(np.prod(shape)) * (4 if tag == 0 else 8)
+        if entry == name:
+            del body[start:pos]
+            body[count_at:count_at + 4] = struct.pack("<I", count - 1)
+            return body
+    raise KeyError(name)
 
 
 def rewrite_header_dtype(path, dtype):
@@ -74,6 +99,22 @@ class TestRoundTrip:
         loaded = load_checkpoint(str(ckpt)).eval()
         x = Tensor(rng.normal(size=(2, 3, 32, 32)).astype(np.float32))
         np.testing.assert_array_equal(model(x).data, loaded(x).data)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_load_draws_no_initial_values(self, tmp_path, monkeypatch, dtype):
+        model = scrambled_model(dtype=dtype, spec=get_preset("nano"))
+        ckpt = tmp_path / "nano.ckpt"
+        save_checkpoint(model, str(ckpt))
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("load_checkpoint created a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        loaded = load_checkpoint(str(ckpt))
+        saved, got = named_state(model), named_state(loaded)
+        assert [n for n, _ in saved] == [n for n, _ in got]
+        for (name, a), (_, b) in zip(saved, got):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
     def test_spec_and_dtype_restored(self, tmp_path):
         model = scrambled_model(dtype=np.float64)
@@ -148,6 +189,12 @@ class TestRejection:
 
         rewrite(ckpt, mutate)
         with pytest.raises(CheckpointFormatError, match="does not exist|missing"):
+            load_checkpoint(str(ckpt))
+
+    def test_missing_entry(self, ckpt):
+        # a load starts from undrawn zeros: a short file must not yield zero weights
+        rewrite(ckpt, lambda body: drop_entry(body, "head.weight"))
+        with pytest.raises(CheckpointFormatError, match="missing entries: \\['head.weight'\\]"):
             load_checkpoint(str(ckpt))
 
     @pytest.mark.parametrize("dtype", ["int8", "float16", "complex64"])

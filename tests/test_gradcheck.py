@@ -53,6 +53,12 @@ def test_subsampling_limits_coordinate_count(rng):
     assert report.n_coords == 7
 
 
+def test_subsampling_needs_an_explicit_rng(rng):
+    x = Tensor(rng.normal(size=(10, 10)), requires_grad=True, dtype=F64)
+    with pytest.raises(ValueError, match="explicit rng"):
+        finite_diff_check(lambda: ad.sum_all(x), [x], max_coords_per_tensor=7)
+
+
 def test_rejects_float32_tensors():
     x = Tensor([1.0], requires_grad=True)
     with pytest.raises(ValueError, match="float64"):

@@ -39,6 +39,13 @@ def state_sha256(model):
     return h.hexdigest()
 
 
+def declared_names(module, prefix=""):
+    """Dotted names of the parameters a module tree declares for drawing."""
+    yield from (prefix + name for name in module._inits)
+    for name, child in module._children.items():
+        yield from declared_names(child, prefix + name + ".")
+
+
 class TestInterleave:
     def test_frozen_orders(self):
         assert interleave_blocks(4, 4) == "MFMFMFMF"
@@ -190,6 +197,23 @@ class TestBuildPinning:
     def test_seed0_state_digest(self, spec, digest):
         assert state_sha256(VCMamba(spec, seed=0)) == digest
 
+    @pytest.mark.parametrize("spec", [get_preset("nano"), MFM128])
+    def test_drawing_the_undrawn_tree_is_the_build(self, spec):
+        built = dict(named_state(VCMamba(spec, seed=3)))
+        undrawn = VCMamba.undrawn(spec)
+        declared = set(declared_names(undrawn))
+        assert declared and declared <= set(built)
+        assert [name for name, _ in named_state(undrawn)] == list(built)
+        for name, arr in named_state(undrawn):
+            assert (arr.shape, arr.dtype) == (built[name].shape, built[name].dtype), name
+            if name in declared:
+                assert not arr.any(), name
+            else:    # deterministic values are built, not drawn
+                assert np.array_equal(arr, built[name]), name
+        drawn = dict(named_state(undrawn.draw(np.random.default_rng(3))))
+        for name, arr in built.items():
+            assert np.array_equal(drawn[name], arr), name
+
 
 class TestModuleTo:
     def test_float64_reaches_everything_in_place(self):
@@ -207,10 +231,9 @@ class TestModuleTo:
         assert model.stem.norm1.running_mean is buffers["stem.norm1.running_mean"]
         assert model.stem.norm1.running_var is buffers["stem.norm1.running_var"]
 
-    def test_dtype_argument_is_the_float32_build_cast(self):
-        direct = VCMamba(TINY, seed=4, dtype=np.float64)
-        cast = VCMamba(TINY, seed=4).to(np.float64)
-        assert state_sha256(direct) == state_sha256(cast)
+    def test_draw_after_cast_is_the_float32_draw_widened(self):
+        early = VCMamba.undrawn(TINY).to(np.float64).draw(np.random.default_rng(4))
+        assert state_sha256(early) == state_sha256(VCMamba(TINY, seed=4).to(np.float64))
 
     def test_same_dtype_copies_nothing(self):
         model = VCMamba(TINY, seed=0)
@@ -266,7 +289,7 @@ class TestInitBehavior:
 
 class TestParamCounts:
     def test_linear_layer_oracle(self):
-        layer = Linear(10, 5, rng=np.random.default_rng(0))
+        layer = Linear(10, 5)
         assert sum(p.size for p in layer.parameters()) == 55
 
     def test_tiny_config_counted_by_hand(self):
@@ -300,7 +323,7 @@ class TestParamCounts:
     def test_preset_totals_in_expected_region(self):
         totals = {}
         for name in ("nano",):
-            totals[name] = count_params(VCMamba(get_preset(name), seed=0))["total"]
+            totals[name] = count_params(VCMamba.undrawn(get_preset(name)))["total"]
         assert 0.5e6 < totals["nano"] < 1.5e6
 
 

@@ -79,8 +79,8 @@ class DownsampleLayer(Module):
 
 class MambaBranch(Module):
     """Token mixing: 1x1 in-projection to 2x channels, positional map,
-    depthwise conv + SiLU, four-path direction-aware scan mix with a channel
-    layer norm, 1x1 out-projection + BN."""
+    depthwise conv + SiLU, four-path direction-aware scan mix and channel layer
+    norm on a channels-last map (one layout change each way), 1x1 out-projection + BN."""
 
     def __init__(self, channels: int, native_grid: tuple[int, int], *, n_state: int = 16):
         super().__init__()
@@ -103,9 +103,8 @@ class MambaBranch(Module):
         pos = ad.bilinear_resize(self.pos_table, h, w)
         z = ad.add_map(z, pos)
         z = ad.silu(self.dwconv(z))
-        z = directional_scan_sum(z, self.ssm)
-        z = ad.moveaxis(self.mix_norm(ad.moveaxis(z, 1, 3)), 3, 1)  # norm over channels
-        return self.out_norm(self.out_proj(z))
+        z = self.mix_norm(directional_scan_sum(ad.moveaxis(z, 1, 3), self.ssm))
+        return self.out_norm(self.out_proj(ad.moveaxis(z, 3, 1)))
 
 
 class MdmBlock(Module):

@@ -22,7 +22,7 @@ from .gradcheck import finite_diff_check
 from .model import PRESETS, VCMamba, count_macs, count_params
 from .scanpath import Direction, PathId, build_path, gather_tokens, path_table, scatter_tokens
 from .ssm import (N_DIRECTIONS, ScanInputs, SsmParams, direction_aware_scan, discretize,
-                  selective_projection, selective_scan_parallel, selective_scan_sequential)
+                  selective_scan_parallel, selective_scan_sequential)
 
 
 @dataclass
@@ -74,9 +74,9 @@ def check_gather_scatter(trials: int = 10) -> CheckResult:
     rng = np.random.default_rng(7)
     for t in range(trials):
         h, w = int(rng.integers(1, 12)), int(rng.integers(1, 12))
-        x = Tensor(rng.standard_normal((2, 3, h, w)), dtype=np.float64)
+        x = Tensor(rng.standard_normal((2, h, w, 3)), dtype=np.float64)
         for path in path_table(h, w):
-            back = scatter_tokens(gather_tokens(x, path), path)
+            back = scatter_tokens(gather_tokens(x, [path]), [path])
             if not np.array_equal(back.data, x.data):
                 return _result("gather_scatter", False,
                                f"round trip not bit-exact on {h}x{w} {path.path_id.value}")
@@ -294,7 +294,7 @@ def check_residual_passthrough() -> CheckResult:
 
 def check_shape_ladder() -> CheckResult:
     """Stage-by-stage feature shapes of the B preset at 224 input."""
-    model = VCMamba(PRESETS["B"], seed=0).eval()
+    model = VCMamba.undrawn(PRESETS["B"]).eval()
     x = Tensor(np.zeros((1, 3, 224, 224), dtype=np.float32))
     expected = [(1, 64, 56, 56), (1, 128, 28, 28), (1, 320, 14, 14), (1, 512, 7, 7)]
     t = model.stem(x)

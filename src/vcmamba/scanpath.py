@@ -5,6 +5,10 @@ jumping between non-adjacent cells: row and column boustrophedon starting at
 the top-left, plus their exact elementwise reversals. Each path carries a
 direction code per step, derived from the offset to the predecessor cell;
 the first token gets the dedicated begin code.
+
+gather_tokens folds the paths of a channels-last (B, H, W, C) map into the
+batch, path p in row block p of its (P*B, C, L) result; scatter_tokens, its
+adjoint, sums the blocks back in path order. Only this module knows the fold.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, record, reshape
+from .autodiff import Tensor, record
 
 
 class PathId(str, Enum):
@@ -121,52 +125,48 @@ def path_table(height: int, width: int) -> tuple[ScanPath, ...]:
     return tuple(build_path(height, width, pid) for pid in PathId)
 
 
-def _take_paths(a: np.ndarray, orders: Sequence[np.ndarray]) -> np.ndarray:
-    """(B, D, T) -> (P*B, D, L): rows p*B..(p+1)*B-1 read a in orders[p]."""
-    taken = np.take(a, np.stack(orders), axis=-1)                  # (B, D, P, L)
-    b, d, p, l = taken.shape
-    return np.moveaxis(taken, 2, 0).reshape(p * b, d, l)
+def _fold(fmap: np.ndarray, paths: Sequence[ScanPath]) -> np.ndarray:
+    """(B, H, W, C) -> (P*B, C, L): row block p reads the cells in paths[p].order."""
+    b, h, w, c = fmap.shape
+    orders = np.stack([p.order for p in paths])
+    taken = np.take(fmap.reshape(b, h * w, c), orders, axis=1)          # (B, P, L, C)
+    return taken.transpose(1, 0, 3, 2).reshape(-1, c, h * w)
 
 
-def _sum_paths(a: np.ndarray, inverses: Sequence[np.ndarray]) -> np.ndarray:
-    """Adjoint of _take_paths when every order is a permutation:
-    (P*B, D, L) -> (B, D, T), row block p read in inverses[p], blocks summed
-    in path order. A permutation has no repeated index, so no scatter-add."""
-    parts = np.split(a, len(inverses))
-    total = parts[0][..., inverses[0]]
-    for part, inv in zip(parts[1:], inverses[1:]):
-        total = total + part[..., inv]
-    return total
+def _unfold(tokens: np.ndarray, paths: Sequence[ScanPath]) -> np.ndarray:
+    """Adjoint of _fold: (P*B, C, L) -> (B, H, W, C), row block p read in
+    paths[p].inverse(), blocks summed in path order. Every order is a
+    permutation, so no index repeats and no scatter-add is needed."""
+    parts = np.split(tokens, len(paths))
+    total = parts[0][..., paths[0].inverse()]
+    for part, path in zip(parts[1:], paths[1:]):
+        total = total + part[..., path.inverse()]
+    return np.moveaxis(total.reshape(total.shape[0], -1, paths[0].height, paths[0].width), 1, 3)
 
 
-def gather_tokens(x: Tensor, paths: ScanPath | Sequence[ScanPath]) -> Tensor:
-    """(B, D, H, W) feature map -> (P*B, D, L) token sequences, one block of
-    B rows per path in path order (P = 1 for a single path)."""
-    paths = (paths,) if isinstance(paths, ScanPath) else tuple(paths)
-    b, d, h, w = x.shape
+def gather_tokens(x: Tensor, paths: Sequence[ScanPath]) -> Tensor:
+    """Channels-last (B, H, W, C) map -> (P*B, C, L) scan operands, path p's
+    B rows in block p."""
+    _, h, w, _ = x.shape
     if any((h, w) != (p.height, p.width) for p in paths):
         raise ValueError(f"feature map {h}x{w} does not match path grid "
                          f"{paths[0].height}x{paths[0].width}")
-    flat = reshape(x, (b, d, h * w))
-    out = Tensor(_take_paths(flat.data, [p.order for p in paths]), dtype=x.dtype)
-    inverses = [p.inverse() for p in paths]
-    record("gather_tokens", out, (flat,), lambda g: (_sum_paths(g, inverses),))
+    out = Tensor(_fold(x.data, paths), dtype=x.dtype)
+    record("gather_tokens", out, (x,), lambda g: (_unfold(g, paths),))
     return out
 
 
-def scatter_tokens(tokens: Tensor, paths: ScanPath | Sequence[ScanPath]) -> Tensor:
-    """(P*B, D, L) tokens, one block of B rows per path in path order ->
-    (B, D, H, W) feature map: each path's block put back in place, summed."""
-    paths = (paths,) if isinstance(paths, ScanPath) else tuple(paths)
-    pb, d, l = tokens.shape
+def scatter_tokens(tokens: Tensor, paths: Sequence[ScanPath]) -> Tensor:
+    """(P*B, C, L) tokens, path p's B rows in block p -> channels-last
+    (B, H, W, C) map: each block put back in place, the blocks summed."""
+    pb, _, l = tokens.shape
     if any(l != p.length for p in paths):
         raise ValueError(f"token count {l} does not match path length {paths[0].length}")
     if pb % len(paths):
         raise ValueError(f"{pb} token rows do not split into {len(paths)} paths")
-    out = Tensor(_sum_paths(tokens.data, [p.inverse() for p in paths]), dtype=tokens.dtype)
-    orders = [p.order for p in paths]
-    record("scatter_tokens", out, (tokens,), lambda g: (_take_paths(g, orders),))
-    return reshape(out, (pb // len(paths), d, paths[0].height, paths[0].width))
+    out = Tensor(_unfold(tokens.data, paths), dtype=tokens.dtype)
+    record("scatter_tokens", out, (tokens,), lambda g: (_fold(g, paths),))
+    return out
 
 
 def dump_csv(path: ScanPath, out: IO[str]) -> None:

@@ -19,9 +19,10 @@ keeps nothing from the forward: it recomputes h, then solves gh_i = gy_i c_i
 + abar_{i+1} gh_{i+1} with the route's pair-scan routine on reversed time.
 The alternate route, a log-depth doubling scan over the associative pair
 composition, is the oracle the literal one is tested against; the model does
-not call it. A Mamba block makes one projection and one scan call: raster
-tokens are projected once, gathered into all four path orders with the paths
-folded into the batch axis, scanned, scattered back and summed.
+not call it. A Mamba block makes one projection and one scan call on a
+channels-last (B, H, W, D) map: the map is projected once, the input and the
+projections are gathered into all four path orders with the paths folded into
+the batch axis, scanned, scattered back to a map and summed.
 """
 
 from __future__ import annotations
@@ -101,22 +102,21 @@ class ScanInputs:
     dirs: np.ndarray | None = None
 
 
-def selective_projection(x_seq: Tensor, params: SsmParams) -> ScanInputs:
-    """Produce per-token delta, B and C from token features x_seq (B, D, L).
+def selective_projection(tokens: Tensor, params: SsmParams) -> tuple[Tensor, Tensor, Tensor]:
+    """Per-token (delta, b_seq, c_seq) from channels-last token features
+    (..., D), shaped (..., D), (..., N) and (..., N).
 
     delta = softplus(dt_up @ (dt_down @ x) + dt_bias) is non-negative (exactly
     0 in float32 below about -104); b_seq and c_seq are plain linear maps into
     the state dimension.
     """
-    if x_seq.ndim != 3 or x_seq.shape[1] != params.d_inner:
+    if tokens.shape[-1] != params.d_inner:
         raise ShapeMismatch("selective_projection",
-                            f"expected (B, {params.d_inner}, L) features, got {x_seq.shape}")
-    xt = ad.moveaxis(x_seq, 1, 2)                                   # (B, L, D)
-    b_seq = ad.moveaxis(ad.linear(xt, params.b_proj), 1, 2)         # (B, N, L)
-    c_seq = ad.moveaxis(ad.linear(xt, params.c_proj), 1, 2)         # (B, N, L)
-    dt = ad.linear(ad.linear(xt, params.dt_down), params.dt_up, params.dt_bias)
-    delta = ad.moveaxis(ad.softplus(dt), 1, 2)                      # (B, D, L)
-    return ScanInputs(x=x_seq, delta=delta, b_seq=b_seq, c_seq=c_seq)
+                            f"expected (..., {params.d_inner}) features, got {tokens.shape}")
+    b_seq = ad.linear(tokens, params.b_proj)
+    c_seq = ad.linear(tokens, params.c_proj)
+    dt = ad.linear(ad.linear(tokens, params.dt_down), params.dt_up, params.dt_bias)
+    return ad.softplus(dt), b_seq, c_seq
 
 
 def _discretize(delta: np.ndarray, a_t: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -291,14 +291,13 @@ def direction_aware_scan(inputs: ScanInputs, params: SsmParams, *,
 
 
 def directional_scan_sum(features: Tensor, params: SsmParams) -> Tensor:
-    """Scan the four paths of a (B, D, H, W) map's grid (path_table) in one
-    call, paths folded into the batch, and sum the rescattered results.
-    The projection is tokenwise, so it runs once, in raster order."""
-    bsz, d, h, w = features.shape
+    """Scan the four paths of a channels-last (B, H, W, D) map's grid in one
+    call, paths folded into the batch, and sum the rescattered results into a
+    (B, H, W, D) map. The tokenwise projection runs once, on the map."""
+    bsz, h, w, _ = features.shape
     paths = path_table(h, w)
-    proj = selective_projection(ad.reshape(features, (bsz, d, h * w)), params)
-    folded = [gather_tokens(ad.reshape(t, (bsz, t.shape[1], h, w)), paths)
-              for t in (proj.delta, proj.b_seq, proj.c_seq)]
+    x = gather_tokens(features, paths)  # first, so the map's gradient is ((g_dt + g_c) + g_b) + g_x
+    delta, b_seq, c_seq = (gather_tokens(t, paths) for t in selective_projection(features, params))
     dirs = np.repeat(np.stack([path.dirs for path in paths]), bsz, axis=0)
-    inputs = ScanInputs(gather_tokens(features, paths), *folded, dirs=dirs)
+    inputs = ScanInputs(x, delta, b_seq, c_seq, dirs=dirs)
     return scatter_tokens(direction_aware_scan(inputs, params), paths)

@@ -15,7 +15,7 @@ from vcmamba.blocks import (ConvMlp, DownsampleLayer, FfnBlock, MambaBranch, Mdm
                             Stem)
 from vcmamba.gradcheck import finite_diff_check
 from vcmamba.scanpath import path_table
-from vcmamba.ssm import direction_aware_scan, selective_projection
+from vcmamba.ssm import ScanInputs, direction_aware_scan, selective_projection
 
 F64 = np.float64
 
@@ -140,8 +140,14 @@ class TestMambaBranch:
                 return _real(*args, **kwargs)
             monkeypatch.setattr(ssm, name, counted)
         branch = MambaBranch(4, (4, 4), n_state=4).draw(make_rng()).eval()
-        branch(Tensor(rng.normal(size=(2, 4, 4, 4)).astype(np.float32)))
+        with ad.Tape() as tape:
+            branch(Tensor(rng.normal(size=(2, 4, 4, 4)).astype(np.float32)))
         assert calls == {"selective_projection": 1, "direction_aware_scan": 1}
+        ops = [node.op for node in tape._nodes]
+        layout = {op: ops.count(op)
+                  for op in ("moveaxis", "reshape", "gather_tokens", "scatter_tokens")}
+        assert layout == {"moveaxis": 2, "reshape": 0, "gather_tokens": 4, "scatter_tokens": 1}
+        assert len(tape) == 21
 
 
 class TestMdmBlock:
@@ -175,8 +181,9 @@ class TestMdmBlock:
         mixed = None
         for path in path_table(3, 3):
             tokens = ad.take_last(ad.reshape(z, (2, mb.d_inner, 9)), path.order)
-            inp = selective_projection(tokens, mb.ssm)
-            inp.dirs = path.dirs
+            delta, b_seq, c_seq = selective_projection(ad.moveaxis(tokens, 1, 2), mb.ssm)
+            inp = ScanInputs(tokens, *(ad.moveaxis(t, 1, 2) for t in (delta, b_seq, c_seq)),
+                             dirs=path.dirs)
             y = direction_aware_scan(inp, mb.ssm)
             spread = ad.reshape(ad.take_last(y, path.inverse()), (2, mb.d_inner, 3, 3))
             mixed = spread if mixed is None else ad.add(mixed, spread)

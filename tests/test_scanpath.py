@@ -155,32 +155,32 @@ class TestPathTable:
 
 class TestGatherScatter:
     def test_gather_matches_fancy_indexing(self, rng):
-        x = Tensor(rng.normal(size=(2, 3, 4, 5)))
+        x = Tensor(rng.normal(size=(2, 4, 5, 3)))
         for pid in ALL_IDS:
             p = build_path(4, 5, pid)
-            tokens = gather_tokens(x, p)
+            tokens = gather_tokens(x, [p])
             np.testing.assert_array_equal(
-                tokens.data, x.data.reshape(2, 3, 20)[:, :, p.order])
+                tokens.data, np.moveaxis(x.data, 3, 1).reshape(2, 3, 20)[:, :, p.order])
 
     def test_roundtrip_is_bitwise_identity(self, rng):
-        x = Tensor(rng.normal(size=(2, 4, 6, 3)))
+        x = Tensor(rng.normal(size=(2, 6, 3, 4)))
         for pid in ALL_IDS:
             p = build_path(6, 3, pid)
-            back = scatter_tokens(gather_tokens(x, p), p)
+            back = scatter_tokens(gather_tokens(x, [p]), [p])
             np.testing.assert_array_equal(back.data, x.data)
 
     def test_scatter_then_gather_roundtrip(self, rng):
         tokens = Tensor(rng.normal(size=(1, 2, 12)))
         p = build_path(3, 4, PathId.COL_SNAKE_BR)
-        back = gather_tokens(scatter_tokens(tokens, p), p)
+        back = gather_tokens(scatter_tokens(tokens, [p]), [p])
         np.testing.assert_array_equal(back.data, tokens.data)
 
     def test_roundtrip_gradient_is_identity(self, rng):
-        x = Tensor(rng.normal(size=(1, 2, 3, 3)), requires_grad=True, dtype=np.float64)
+        x = Tensor(rng.normal(size=(1, 3, 3, 2)), requires_grad=True, dtype=np.float64)
         p = build_path(3, 3, PathId.COL_SNAKE_TL)
-        weights = rng.normal(size=(1, 2, 3, 3))
+        weights = rng.normal(size=(1, 3, 3, 2))
         with Tape():
-            y = scatter_tokens(gather_tokens(x, p), p)
+            y = scatter_tokens(gather_tokens(x, [p]), [p])
             loss = ad.sum_all(ad.mul(y, Tensor(weights, dtype=np.float64)))
         backward(loss)
         np.testing.assert_allclose(x.grad, weights, atol=1e-15)
@@ -188,9 +188,33 @@ class TestGatherScatter:
     def test_shape_mismatches_rejected(self, rng):
         p = build_path(4, 4, PathId.ROW_SNAKE_TL)
         with pytest.raises(ValueError, match="does not match path grid"):
-            gather_tokens(Tensor(np.zeros((1, 2, 3, 4))), p)
+            gather_tokens(Tensor(np.zeros((1, 3, 4, 2))), [p])
         with pytest.raises(ValueError, match="does not match path length"):
-            scatter_tokens(Tensor(np.zeros((1, 2, 15))), p)
+            scatter_tokens(Tensor(np.zeros((1, 2, 15))), [p])
+
+    @pytest.mark.parametrize("h,w", [(1, 1), (2, 3), (4, 4)])
+    def test_four_path_fold_is_path_major(self, rng, h, w):
+        b, c = 2, 3
+        paths = path_table(h, w)
+        x = Tensor(rng.normal(size=(b, h, w, c)), dtype=np.float64)
+        folded = gather_tokens(x, paths)
+        assert folded.shape == (4 * b, c, h * w)
+        for k, p in enumerate(paths):
+            np.testing.assert_array_equal(
+                folded.data[k * b:(k + 1) * b],
+                x.data.reshape(b, h * w, c)[:, p.order].transpose(0, 2, 1))
+
+        tokens = rng.normal(size=(4 * b, c, h * w))
+        expected = np.zeros((b, h * w, c))
+        for k, p in enumerate(paths):
+            block = np.zeros((b, h * w, c))
+            block[:, p.order] = tokens[k * b:(k + 1) * b].transpose(0, 2, 1)
+            expected = expected + block
+        back = scatter_tokens(Tensor(tokens, dtype=np.float64), paths)
+        np.testing.assert_array_equal(back.data, expected.reshape(b, h, w, c))
+
+        with pytest.raises(ValueError, match="does not match path grid"):
+            gather_tokens(Tensor(np.zeros((b, h + 1, w, c))), paths)
 
 
 class TestDumpCsv:

@@ -24,8 +24,19 @@ F64 = np.float64
 
 
 def channel_norm(fmap, norm):
-    """LayerNorm over the channel axis of a (B, D, H, W) map, as MambaBranch applies it."""
-    return ad.moveaxis(norm(ad.moveaxis(fmap, 1, 3)), 3, 1)
+    """LayerNorm over the channels of a channels-last (B, H, W, D) map, as
+    MambaBranch applies it, returned as a (B, D, H, W) map."""
+    return ad.moveaxis(norm(fmap), 3, 1)
+
+
+def channels_last(a):
+    return np.moveaxis(a, 1, 3)
+
+
+def project(tokens, params):
+    """Scan inputs for (B, D, L) tokens from the channels-last projection."""
+    delta, b_seq, c_seq = selective_projection(ad.moveaxis(tokens, 1, 2), params)
+    return ScanInputs(tokens, *(ad.moveaxis(t, 1, 2) for t in (delta, b_seq, c_seq)))
 
 
 def make_params(d, n, dtype=F64, seed=0):
@@ -125,19 +136,19 @@ class TestSelectiveProjection:
         p.dt_down.data[:] = 0.5
         p.dt_up.data[:] = 3.0
         p.dt_bias.data[:] = 0.25
-        x = Tensor(np.array([[[0.5, -1.0]]]), dtype=F64)
-        got = selective_projection(x, p)
-        np.testing.assert_allclose(got.b_seq.data, 2.0 * x.data, atol=1e-12)
-        np.testing.assert_allclose(got.c_seq.data, -1.0 * x.data, atol=1e-12)
+        x = Tensor(np.array([[[0.5], [-1.0]]]), dtype=F64)
+        delta, b_seq, c_seq = selective_projection(x, p)
+        np.testing.assert_allclose(b_seq.data, 2.0 * x.data, atol=1e-12)
+        np.testing.assert_allclose(c_seq.data, -1.0 * x.data, atol=1e-12)
         expected_dt = np.logaddexp(0.0, 3.0 * (0.5 * x.data) + 0.25)
-        np.testing.assert_allclose(got.delta.data, expected_dt, atol=1e-12)
+        np.testing.assert_allclose(delta.data, expected_dt, atol=1e-12)
 
     def test_delta_strictly_positive(self, rng):
         p = make_params(8, 4)
-        x = Tensor(rng.normal(size=(2, 8, 10), scale=5.0), dtype=F64)
-        got = selective_projection(x, p)
-        assert np.all(got.delta.data > 0)
-        assert got.b_seq.shape == (2, 4, 10) and got.c_seq.shape == (2, 4, 10)
+        x = Tensor(rng.normal(size=(2, 10, 8), scale=5.0), dtype=F64)
+        delta, b_seq, c_seq = selective_projection(x, p)
+        assert np.all(delta.data > 0)
+        assert b_seq.shape == (2, 10, 4) and c_seq.shape == (2, 10, 4)
 
     def test_wrong_channel_count_raises(self):
         with pytest.raises(ShapeMismatch):
@@ -455,7 +466,7 @@ class TestScanGradients:
         dirs = np.concatenate([[0], rng.integers(0, N_DIRECTIONS, size=5)])
 
         def f():
-            inp = selective_projection(x_seq, p)
+            inp = project(x_seq, p)
             inp.dirs = dirs
             y = direction_aware_scan(inp, p)
             return ad.sum_all(ad.mul(y, y))
@@ -474,12 +485,12 @@ class TestDirectionalMix:
     def test_single_cell_mix_is_four_times_one_path(self, rng):
         p = make_params(3, 4)
         p.direction_table.data[:] = rng.normal(size=(N_DIRECTIONS, 4)) * 0.2
-        fmap = Tensor(rng.normal(size=(2, 3, 1, 1)), dtype=F64)
+        fmap = rng.normal(size=(2, 3, 1, 1))
         paths = path_table(1, 1)
-        total = directional_scan_sum(fmap, p)
+        total = directional_scan_sum(Tensor(channels_last(fmap), dtype=F64), p)
 
-        tokens = fmap.data.reshape(2, 3, 1)
-        inp = selective_projection(Tensor(tokens, dtype=F64), p)
+        tokens = fmap.reshape(2, 3, 1)
+        inp = project(Tensor(tokens, dtype=F64), p)
         inp.dirs = paths[0].dirs
         single = direction_aware_scan(inp, p)
         np.testing.assert_allclose(total.data.reshape(2, 3, 1), 4.0 * single.data,
@@ -488,18 +499,18 @@ class TestDirectionalMix:
     def test_sum_matches_per_path_composition(self, rng):
         p = make_params(3, 4)
         p.direction_table.data[:] = rng.normal(size=(N_DIRECTIONS, 4)) * 0.2
-        fmap = Tensor(rng.normal(size=(1, 3, 3, 4)), dtype=F64)
+        fmap = rng.normal(size=(1, 3, 3, 4))
         paths = path_table(3, 4)
-        total = directional_scan_sum(fmap, p)
+        total = directional_scan_sum(Tensor(channels_last(fmap), dtype=F64), p)
 
-        expected = np.zeros_like(fmap.data)
+        expected = np.zeros_like(fmap)
         for path in paths:
-            tokens = fmap.data.reshape(1, 3, 12)[:, :, path.order]
-            inp = selective_projection(Tensor(tokens, dtype=F64), p)
+            tokens = fmap.reshape(1, 3, 12)[:, :, path.order]
+            inp = project(Tensor(tokens, dtype=F64), p)
             inp.dirs = path.dirs
             y = direction_aware_scan(inp, p).data
             expected += y[:, :, path.inverse()].reshape(1, 3, 3, 4)
-        np.testing.assert_allclose(total.data, expected, atol=1e-12)
+        np.testing.assert_allclose(total.data, channels_last(expected), atol=1e-12)
 
     def test_gradients_match_per_path_composition(self, rng):
         # one folded call against one projection and one scan per path
@@ -507,16 +518,17 @@ class TestDirectionalMix:
 
         p = make_params(3, 4)
         p.direction_table.data[:] = rng.normal(size=(N_DIRECTIONS, 4)) * 0.2
-        fmap = Tensor(rng.normal(size=(2, 3, 3, 4)), requires_grad=True, dtype=F64)
-        weights = Tensor(rng.normal(size=(2, 3, 3, 4)), dtype=F64)
+        fmap = Tensor(channels_last(rng.normal(size=(2, 3, 3, 4))), requires_grad=True,
+                      dtype=F64)
+        weights = Tensor(channels_last(rng.normal(size=(2, 3, 3, 4))), dtype=F64)
         paths = path_table(3, 4)
 
         def per_path():
             total = None
             for path in paths:
-                inp = selective_projection(gather_tokens(fmap, path), p)
+                inp = project(gather_tokens(fmap, [path]), p)
                 inp.dirs = path.dirs
-                spread = scatter_tokens(direction_aware_scan(inp, p), path)
+                spread = scatter_tokens(direction_aware_scan(inp, p), [path])
                 total = spread if total is None else ad.add(total, spread)
             return total
 
@@ -536,7 +548,7 @@ class TestDirectionalMix:
     def test_mix_normalizes_channels_at_each_position(self, rng):
         d = 8
         p = make_params(d, 4)
-        fmap = Tensor(rng.normal(size=(2, d, 3, 3)), dtype=F64)
+        fmap = Tensor(channels_last(rng.normal(size=(2, d, 3, 3))), dtype=F64)
         out = channel_norm(directional_scan_sum(fmap, p), LayerNorm(d).to(F64))
         assert out.shape == (2, d, 3, 3)
         np.testing.assert_allclose(out.data.mean(axis=1), 0.0, atol=1e-10)
@@ -548,8 +560,8 @@ class TestDirectionalMix:
         d = 4
         p = make_params(d, 3)
         norm = LayerNorm(d).to(F64)
-        fmap = Tensor(rng.normal(size=(1, d, 2, 2)), requires_grad=True, dtype=F64,
-                      name="fmap")
+        fmap = Tensor(channels_last(rng.normal(size=(1, d, 2, 2))), requires_grad=True,
+                      dtype=F64, name="fmap")
 
         def f():
             y = channel_norm(directional_scan_sum(fmap, p), norm)

@@ -21,7 +21,7 @@ from .data import ToyDataset
 from .gradcheck import finite_diff_check
 from .model import PRESETS, VCMamba, count_macs, count_params
 from .scanpath import Direction, PathId, build_path, gather_tokens, path_table, scatter_tokens
-from .ssm import (N_DIRECTIONS, ScanInputs, SsmParams, direction_aware_scan, discretize,
+from .ssm import (CHUNK, N_DIRECTIONS, ScanInputs, SsmParams, direction_aware_scan, discretize,
                   selective_scan_parallel, selective_scan_sequential)
 
 
@@ -252,10 +252,13 @@ def check_gradients() -> CheckResult:
     wl = Tensor(rng.standard_normal((3, 4)), requires_grad=True, dtype=np.float64)
     run("linear+gelu", lambda: ad.gelu(ad.linear(xl, wl)).sum(), [xl, wl])
 
-    inputs, params = random_scan_instance(rng, 9, 3, 4, 2, np.float64, with_dirs=True)
-    inputs.delta.requires_grad = True
-    inputs.x.requires_grad = True
-    wrt = [inputs.x, inputs.delta, params.a_log, params.direction_table, params.skip_gain]
+    # long enough that the backward's recompute crosses two chunk boundaries
+    inputs, params = random_scan_instance(rng, 2 * CHUNK + 3, 3, 4, 2, np.float64,
+                                          with_dirs=True)
+    operands = [inputs.x, inputs.delta, inputs.b_seq, inputs.c_seq]
+    for t in operands:
+        t.requires_grad = True
+    wrt = operands + [params.a_log, params.direction_table, params.skip_gain]
     run("direction_aware_scan",
         lambda: direction_aware_scan(inputs, params).sum(), wrt)
 

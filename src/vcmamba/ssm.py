@@ -14,15 +14,19 @@ token i's effective input matrix is delta_i * (b_i + table[dirs[i]]).
 
 Operands are (B, D, L); the kernel works scan axis first, (L, B, N, D). The
 literal route discretizes, updates and reads out one token per step, so its
-forward builds no (L, B, N, D) array. The scan is one tape op whose adjoint
-keeps nothing from the forward: it recomputes h, then solves gh_i = gy_i c_i
-+ abar_{i+1} gh_{i+1} with the route's pair-scan routine on reversed time.
-The alternate route, a log-depth doubling scan over the associative pair
-composition, is the oracle the literal one is tested against; the model does
-not call it. A Mamba block makes one projection and one scan call on a
-channels-last (B, H, W, D) map: the map is projected once, the input and the
-projections are gathered into all four path orders with the paths folded into
-the batch axis, scanned, scattered back to a map and summed.
+forward builds no (L, B, N, D) array. The scan is one tape op. While a tape
+records, the forward keeps the state entering each chunk of CHUNK tokens, and
+nothing else; the adjoint walks the chunks in reverse, recomputes a chunk's
+abar and states into two reused (CHUNK, B, N, D) buffers, then solves
+gh_i = gy_i c_i + abar_{i+1} gh_{i+1} one token at a time, writing that
+token's gradients as it goes. The alternate route, a log-depth doubling scan
+over the associative pair composition, is the oracle the literal one is
+tested against; it takes the chunk entry states from its state array and
+shares the adjoint. The model does not call it. A Mamba block makes one
+projection and one scan call on a channels-last (B, H, W, D) map: the map is
+projected once, the input and the projections are gathered into all four
+path orders with the paths folded into the batch axis, scanned, scattered
+back to a map and summed.
 """
 
 from __future__ import annotations
@@ -37,14 +41,31 @@ from .nn import Module
 from .scanpath import Direction, gather_tokens, path_table, scatter_tokens
 
 N_DIRECTIONS = len(Direction)
+# tokens per chunk of the scan backward: the forward keeps the state entering
+# each chunk, and the backward recomputes one chunk at a time
+CHUNK = 8
 
 
 class NonFiniteStateError(RuntimeError):
-    """Non-finite scan delta, state or output, a runtime fault; names the first bad token."""
+    """Non-finite scan delta, state or output, a runtime fault. Names the first
+    bad token and, in it, the first bad batch row; raised from the four-path
+    mix it also names the path, the image and the grid cell (row, col)."""
 
-    def __init__(self, token_index: int, what: str = "value"):
-        super().__init__(f"scan produced a non-finite {what} at token index {token_index}")
-        self.token_index = token_index
+    def __init__(self, token_index: int, row: int, what: str = "value", *,
+                 path: str | None = None, image: int | None = None,
+                 cell: tuple[int, int] | None = None):
+        where = f"token index {token_index}, batch row {row}"
+        if path is not None:
+            where = f"path {path}, image {image}, cell {cell} ({where})"
+        super().__init__(f"scan produced a non-finite {what} at {where}")
+        self.token_index, self.row, self.what = token_index, row, what
+        self.path, self.image, self.cell = path, image, cell
+
+
+def _first_bad(bad: np.ndarray, what: str = "value") -> NonFiniteStateError:
+    """The error for (L, B) non-finite flags: the first bad token, then its first bad row."""
+    token = int(np.argmax(bad.any(axis=1)))
+    return NonFiniteStateError(token, int(np.argmax(bad[token])), what)
 
 
 def delta_rank(d_inner: int) -> int:
@@ -200,9 +221,9 @@ def _selective_scan(op: str, inputs: ScanInputs, params: SsmParams, *,
     _check_scan_operands(op, inputs, params, need_dirs=with_directions)
     x, delta, b_seq, c_seq = inputs.x, inputs.delta, inputs.b_seq, inputs.c_seq
     a_log, skip, table = params.a_log, params.skip_gain, params.direction_table
-    bad = ~np.isfinite(delta.data).all(axis=(0, 1))                 # (L,)
+    bad = ~np.isfinite(delta.data).all(axis=1)                      # (B, L)
     if bad.any():
-        raise NonFiniteStateError(int(np.argmax(bad)), "delta")
+        raise _first_bad(bad.T, "delta")
 
     # scan axis first, channels last: (L, B, D) and (L, B, N)
     xt, dt, beff, ct = (np.ascontiguousarray(np.moveaxis(v.data, -1, 0))
@@ -218,47 +239,67 @@ def _selective_scan(op: str, inputs: ScanInputs, params: SsmParams, *,
         bbar *= xt[:, :, None, :]
         return abar, scan(abar, bbar)
 
+    # the state entering each chunk of the backward; an eval forward keeps none
+    keep = ad.active_tape() is not None
+    entry = [0.0]
     # numpy warnings are redundant here: the explicit check below raises a
     # typed error naming the first bad token
     with np.errstate(over="ignore", invalid="ignore"):
         if scan is _pair_scan_doubling:
-            y = np.einsum("lbn,lbnd->lbd", ct, states()[1])
+            h = states()[1]
+            y = np.einsum("lbn,lbnd->lbd", ct, h)
+            if keep:
+                entry.extend(h[CHUNK - 1:-1:CHUNK].copy())
         else:  # literal route, one token per step: the working set is one (B, N, D) state
             y, h = np.empty(xt.shape, np.result_type(dt, a_t, beff, xt, ct)), 0.0
             for i in range(len(xt)):
+                if keep and i and not i % CHUNK:
+                    entry.append(h)
                 abar, bbar = _discretize(dt[i], a_t, beff[i])
                 h = abar * h + bbar * xt[i][:, None, :]
                 y[i] = np.einsum("bn,bnd->bd", ct[i], h)
         y += skip.data * xt
     # a non-finite state entry makes its token's output non-finite
-    bad = ~np.isfinite(y).all(axis=(1, 2))                          # (L,)
+    bad = ~np.isfinite(y).all(axis=2)                               # (L, B)
     if bad.any():
-        raise NonFiniteStateError(int(np.argmax(bad)))
+        raise _first_bad(bad)
 
     out = Tensor(np.moveaxis(y, 0, -1), dtype=y.dtype)
 
     def vjp(gy):
-        gy = np.moveaxis(gy, -1, 0)                                 # (L, B, D)
-        abar, h = states()
-        # gh_i = gy_i c_i + abar_{i+1} gh_{i+1} is the forward recurrence on
-        # reversed time with abar shifted one step (the first reversed factor
-        # meets the zero initial state), so the forward routine solves it
-        gh = scan(np.concatenate([np.ones_like(abar[:1]), abar[:0:-1]]),
-                  (gy[:, :, None, :] * ct[..., None])[::-1])[::-1]
-        gdta = abar                                    # d/d(delta * A), built in place
-        gdta[0] = 0.0
-        gdta[1:] *= gh[1:] * h[:-1]
-        gdx = (gh * beff[..., None]).sum(axis=2)                    # d/d(delta * x)
-        # beff = b + table[dirs]: b and the table share the gradient of beff
-        gb = np.einsum("lbnd,lbd->lbn", gh, dt * xt)
+        gy = np.ascontiguousarray(np.moveaxis(gy, -1, 0))           # (L, B, D)
+        gx, gdelta, gb, gc = (np.empty_like(v) for v in (y, y, beff, ct))
+        gdta_dt = np.zeros_like(a_t)          # sum over tokens and rows of gdta * delta
+        abar_buf, h_buf = np.empty((2, min(CHUNK, len(y)), y.shape[1]) + a_t.shape, y.dtype)
+        carry = 0.0        # abar_{i+1} gh_{i+1}, formed before the buffers take the next chunk
+        for start in reversed(range(0, len(y), CHUNK)):
+            chunk = slice(start, min(start + CHUNK, len(y)))
+            abar, h = abar_buf[:chunk.stop - start], h_buf[:chunk.stop - start]
+            np.exp(np.multiply(dt[chunk, :, None, :], a_t, out=abar), out=abar)
+            # the literal forward's states bit for bit:
+            # h_i = (delta_i b_i) x_i + abar_i h_{i-1}
+            np.multiply(dt[chunk, :, None, :], beff[chunk, :, :, None], out=h)
+            h *= xt[chunk, :, None, :]
+            h_in = entry[start // CHUNK]
+            for j in range(len(h)):
+                h[j] += abar[j] * (h[j - 1] if j else h_in)
+            gc[chunk] = np.einsum("lbd,lbnd->lbn", gy[chunk], h)
+            for j in reversed(range(len(h))):
+                i = start + j
+                gh = gy[i][:, None, :] * ct[i][..., None] + carry
+                gdu = (gh * beff[i][..., None]).sum(axis=1)         # d/d(delta * x)
+                # beff = b + table[dirs]: b and the table share the gradient of beff
+                gb[i] = np.einsum("bnd,bd->bn", gh, dt[i] * xt[i])
+                carry = gh * abar[j]
+                gx[i] = gdu * dt[i] + gy[i] * skip.data
+                gdta = carry * (h[j - 1] if j else h_in)            # d/d(delta * A)
+                gdta_dt += np.einsum("bnd,bd->nd", gdta, dt[i])
+                gdelta[i] = gdu * xt[i] + np.einsum("bnd,nd->bd", gdta, a_t)
         gtable = None if dirs is None else np.zeros_like(table.data)
         if dirs is not None:
             np.add.at(gtable, dirs, gb)                             # codes repeat
         # abar = exp(delta * A), A = -exp(a_log): dA/da_log = A
-        ga_log = (np.einsum("lbnd,lbd->nd", gdta, dt) * a_t).T
-        grads = (gdx * dt + gy * skip.data, gdx * xt + np.einsum("lbnd,nd->lbd", gdta, a_t),
-                 gb, np.einsum("lbd,lbnd->lbn", gy, h))
-        return (*(np.moveaxis(g, 0, -1) for g in grads), ga_log,
+        return (*(np.moveaxis(g, 0, -1) for g in (gx, gdelta, gb, gc)), (gdta_dt * a_t).T,
                 (gy * xt).sum(axis=(0, 1)), gtable)
 
     ad.record(op, out, (x, delta, b_seq, c_seq, a_log, skip, table), vjp)
@@ -268,7 +309,8 @@ def _selective_scan(op: str, inputs: ScanInputs, params: SsmParams, *,
 def selective_scan_sequential(inputs: ScanInputs, params: SsmParams, *,
                               return_hidden: bool = False):
     """Direction-free scan evaluated as the literal recurrence; with return_hidden,
-    also returns the (B, D, N, L) states, recomputed as the backward does."""
+    also returns the (B, D, N, L) states, recomputed in full by the same
+    recurrence after the forward."""
     out, states = _selective_scan("selective_scan_sequential", inputs, params,
                                   with_directions=False, scan=_pair_scan_sequential)
     return (out, states()[1].transpose(1, 3, 2, 0)) if return_hidden else out
@@ -300,4 +342,11 @@ def directional_scan_sum(features: Tensor, params: SsmParams) -> Tensor:
     delta, b_seq, c_seq = (gather_tokens(t, paths) for t in selective_projection(features, params))
     dirs = np.repeat(np.stack([path.dirs for path in paths]), bsz, axis=0)
     inputs = ScanInputs(x, delta, b_seq, c_seq, dirs=dirs)
-    return scatter_tokens(direction_aware_scan(inputs, params), paths)
+    try:
+        y = direction_aware_scan(inputs, params)
+    except NonFiniteStateError as err:
+        path = paths[err.row // bsz]
+        cell = divmod(int(path.order[err.token_index]), w)
+        raise NonFiniteStateError(err.token_index, err.row, err.what, path=path.path_id.value,
+                                  image=err.row % bsz, cell=cell) from err
+    return scatter_tokens(y, paths)

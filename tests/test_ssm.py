@@ -7,6 +7,8 @@ The sequential and doubling evaluations are also required to agree with each
 other, forward and backward.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ import vcmamba.autodiff as ad
 from vcmamba.autodiff import ShapeMismatch, Tape, Tensor, backward
 from vcmamba.nn import LayerNorm
 from vcmamba.scanpath import Direction, build_path, path_table
-from vcmamba.ssm import (N_DIRECTIONS, NonFiniteStateError, ScanInputs, SsmParams,
+from vcmamba.ssm import (CHUNK, N_DIRECTIONS, NonFiniteStateError, ScanInputs, SsmParams,
                          _pair_scan_doubling, _pair_scan_sequential,
                          direction_aware_scan, directional_scan_sum, discretize,
                          selective_projection, selective_scan_parallel,
@@ -414,15 +416,15 @@ class TestScanGradients:
         report = finite_diff_check(f, wrt)
         assert report.passed, str(report)
 
-    def test_finite_differences_per_row_codes(self, rng):
-        # the four-path call gives every batch row its own direction codes
+    @staticmethod
+    def check_per_row_codes(rng, length):
         from vcmamba.gradcheck import finite_diff_check
 
         p = make_params(2, 3)
         p.direction_table.data[:] = rng.normal(size=(N_DIRECTIONS, 3)) * 0.2
-        inp = make_inputs(rng, b=3, d=2, n=3, length=6)
+        inp = make_inputs(rng, b=3, d=2, n=3, length=length)
         inp.dirs = np.concatenate([np.zeros((3, 1), np.int64),
-                                   rng.integers(0, N_DIRECTIONS, size=(3, 5))], axis=1)
+                                   rng.integers(0, N_DIRECTIONS, size=(3, length - 1))], axis=1)
 
         def f():
             y = direction_aware_scan(inp, p)
@@ -432,6 +434,30 @@ class TestScanGradients:
                p.a_log, p.skip_gain, p.direction_table]
         report = finite_diff_check(f, wrt)
         assert report.passed, str(report)
+
+    def test_finite_differences_per_row_codes(self, rng):
+        # the four-path call gives every batch row its own direction codes
+        self.check_per_row_codes(rng, 6)
+
+    @pytest.mark.parametrize("length", [CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    def test_finite_differences_across_chunks(self, rng, length):
+        # the backward recomputes CHUNK tokens at a time from the state kept at
+        # each chunk's entry: one whole chunk, one token past it, two boundaries
+        self.check_per_row_codes(rng, length)
+
+    def test_backward_holds_less_than_one_state_array(self, rng):
+        # (4B, D, L, N) = (4, 64, 196, 16) in float32: one (L, 4B, N, D) array is 3.2 MB
+        inp = make_inputs(rng, b=4, d=64, n=16, length=196, dtype=np.float32, with_dirs=True)
+        p = make_params(64, 16, dtype=np.float32)
+        with Tape():
+            loss = ad.sum_all(direction_aware_scan(inp, p))
+        tracemalloc.start()
+        try:
+            backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 196 * 4 * 16 * 64 * 4, peak
 
     def test_sequential_and_parallel_backward_agree(self, rng):
         p1 = make_params(3, 4)
@@ -544,6 +570,20 @@ class TestDirectionalMix:
         assert len(wrt) == 9        # input, a_log, skip, b/c_proj, dt_*, direction table
         for name, got, want in zip(["input"] + [n for n, _ in p.named_parameters()], *grads):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=name)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in logaddexp:RuntimeWarning")
+    def test_nonfinite_mix_names_path_image_and_cell(self, rng):
+        p = make_params(3, 4)
+        fmap = rng.normal(size=(2, 2, 3, 3))        # (B, H, W, D)
+        fmap[1, 1, 2, 0] = np.nan                   # image 1, cell (1, 2)
+        with pytest.raises(NonFiniteStateError, match="delta") as err:
+            directional_scan_sum(Tensor(fmap, dtype=F64), p)
+        # col_snake_br starts at the bottom-right cell: token 0 of its image-1 row
+        # (path 3 of 4, batch row 3 * 2 + 1) is the first bad one
+        got = err.value
+        assert (got.path, got.image, got.cell) == ("col_snake_br", 1, (1, 2))
+        assert (got.token_index, got.row) == (0, 7)
+        assert "path col_snake_br, image 1, cell (1, 2)" in str(got)
 
     def test_mix_normalizes_channels_at_each_position(self, rng):
         d = 8

@@ -10,7 +10,8 @@ Floating point policy: float32 by default, float64 on request (gradient
 checks run in float64). Broadcasting is deliberately narrow: scalar ops,
 channel bias adds and the spatial-map add broadcast, every other elementwise
 binary op requires exactly matching shapes and raises ShapeMismatch
-otherwise.
+otherwise. The convolutions, batch norm and the map add take channels-last
+(B, H, W, C) maps; global_avg_pool takes (B, C, H, W).
 """
 
 from __future__ import annotations
@@ -409,19 +410,34 @@ def _check_conv_args(op: str, x: Tensor, w: Tensor, stride: int, padding: int) -
     if stride < 1 or padding < 0:
         raise ShapeMismatch(op, f"stride must be >= 1 and padding >= 0, got {stride}, {padding}")
     kh, kw = w.shape[2], w.shape[3]
-    oh = _conv_out_dim(x.shape[2], kh, stride, padding)
-    ow = _conv_out_dim(x.shape[3], kw, stride, padding)
+    oh = _conv_out_dim(x.shape[1], kh, stride, padding)
+    ow = _conv_out_dim(x.shape[2], kw, stride, padding)
     if oh < 1 or ow < 1:
         raise ShapeMismatch(op, f"kernel {kh}x{kw} stride {stride} padding {padding} leaves no "
                                 f"output positions on input {x.shape}")
     return oh, ow
 
 
+def _taps(i: int, stride: int, n_out: int) -> slice:
+    """The input rows (or columns) that kernel tap i reads for n_out outputs."""
+    return slice(i, i + stride * (n_out - 1) + 1, stride)
+
+
+def _pad_map(a: np.ndarray, padding: int) -> np.ndarray:
+    return np.pad(a, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+
+
+def _unpad_map(a: np.ndarray, padding: int) -> np.ndarray:
+    return np.ascontiguousarray(a[:, padding:a.shape[1] - padding, padding:a.shape[2] - padding])
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
            padding: int = 0) -> Tensor:
-    """Cross-correlation, NCHW. weight (Cout, Cin, kh, kw); no kernel flip."""
+    """Cross-correlation of a channels-last (B, H, W, Cin) map, weight (Cout, Cin,
+    kh, kw); no kernel flip. One gemm of the patch matrix, rows (b, oh, ow) and
+    columns (cin, kh, kw), whose (B*oh*ow, Cout) result is already channels-last."""
     oh, ow = _check_conv_args("conv2d", x, w, stride, padding)
-    bsz, cin, _, _ = x.shape
+    bsz, _, _, cin = x.shape
     cout, wcin, kh, kw = w.shape
     if cin != wcin:
         raise ShapeMismatch("conv2d", f"input channels {cin} (input {x.shape}) do not match "
@@ -429,35 +445,36 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
     if b is not None and b.shape != (cout,):
         raise ShapeMismatch("conv2d", f"bias shape {b.shape} must be ({cout},)")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    # (B, Cin, oh, ow, kh, kw) -> rows of the patch matrix
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(bsz * oh * ow, cin * kh * kw)
+    pointwise = kh == kw == stride == 1 and padding == 0
+    if pointwise:
+        cols = x.data.reshape(-1, cin)
+    else:
+        xp = _pad_map(x.data, padding)
+        win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+        cols = np.ascontiguousarray(win).reshape(bsz * oh * ow, cin * kh * kw)
     wmat = w.data.reshape(cout, cin * kh * kw)
     y = cols @ wmat.T
     if b is not None:
-        y = y + b.data
-    out = Tensor(y.reshape(bsz, oh, ow, cout).transpose(0, 3, 1, 2), dtype=y.dtype)
+        y += b.data
+    out = Tensor(y.reshape(bsz, oh, ow, cout), dtype=y.dtype)
 
     need_x, need_w = x.requires_grad, w.requires_grad
     need_b = b is not None and b.requires_grad
-    pad_h, pad_w = xp.shape[2], xp.shape[3]
-    in_h, in_w = x.shape[2], x.shape[3]
 
     def vjp(g):
-        g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(bsz * oh * ow, cout)
+        g2 = g.reshape(-1, cout)
         gw = (g2.T @ cols).reshape(w.shape) if need_w else None
         gb = g2.sum(axis=0) if need_b else None
         gx = None
-        if need_x:
+        if need_x and pointwise:
+            gx = (g2 @ wmat).reshape(x.shape)
+        elif need_x:
             gcols = (g2 @ wmat).reshape(bsz, oh, ow, cin, kh, kw)
-            gxp = np.zeros((bsz, cin, pad_h, pad_w), dtype=g.dtype)
+            gxp = np.zeros(xp.shape, dtype=g.dtype)
             for i in range(kh):
                 for j in range(kw):
-                    gxp[:, :, i:i + stride * (oh - 1) + 1:stride,
-                        j:j + stride * (ow - 1) + 1:stride] += gcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-            gx = gxp[:, :, padding:padding + in_h, padding:padding + in_w]
-            gx = np.ascontiguousarray(gx)
+                    gxp[:, _taps(i, stride, oh), _taps(j, stride, ow)] += gcols[..., i, j]
+            gx = _unpad_map(gxp, padding)
         return (gx, gw, gb)
 
     record("conv2d", out, (x, w, b), vjp)
@@ -466,9 +483,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
 
 def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
                      padding: int = 0) -> Tensor:
-    """Per-channel cross-correlation, weight (C, 1, kh, kw)."""
+    """Per-channel cross-correlation of a channels-last (B, H, W, C) map, weight
+    (C, 1, kh, kw). The weight and bias gradients sum over B*oh*ow rows in float64."""
     oh, ow = _check_conv_args("depthwise_conv2d", x, w, stride, padding)
-    bsz, c, _, _ = x.shape
+    bsz, _, _, c = x.shape
     wc, one, kh, kw = w.shape
     if wc != c or one != 1:
         raise ShapeMismatch("depthwise_conv2d", f"weight must be ({c}, 1, kh, kw) for input "
@@ -476,41 +494,32 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: i
     if b is not None and b.shape != (c,):
         raise ShapeMismatch("depthwise_conv2d", f"bias shape {b.shape} must be ({c},)")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    y = np.zeros((bsz, c, oh, ow), dtype=xp.dtype)
-    views = []
-    for i in range(kh):
-        row = []
-        for j in range(kw):
-            v = xp[:, :, i:i + stride * (oh - 1) + 1:stride, j:j + stride * (ow - 1) + 1:stride]
-            y += w.data[:, 0, i, j][None, :, None, None] * v
-            row.append(v)
-        views.append(row)
+    xp = _pad_map(x.data, padding)
+    y = np.zeros((bsz, oh, ow, c), dtype=xp.dtype)
+    taps = [(i, j, xp[:, _taps(i, stride, oh), _taps(j, stride, ow)])
+            for i in range(kh) for j in range(kw)]
+    for i, j, v in taps:
+        y += w.data[:, 0, i, j] * v
     if b is not None:
-        y += b.data[None, :, None, None]
+        y += b.data
     out = Tensor(y, dtype=y.dtype)
 
     need_x, need_w = x.requires_grad, w.requires_grad
     need_b = b is not None and b.requires_grad
-    pad_h, pad_w = xp.shape[2], xp.shape[3]
-    in_h, in_w = x.shape[2], x.shape[3]
 
     def vjp(g):
         gw = None
         if need_w:
             gw = np.zeros_like(w.data)
-            for i in range(kh):
-                for j in range(kw):
-                    gw[:, 0, i, j] = (g * views[i][j]).sum(axis=(0, 2, 3))
-        gb = g.sum(axis=(0, 2, 3)) if need_b else None
+            for i, j, v in taps:
+                gw[:, 0, i, j] = _row_sum(g * v)
+        gb = _row_sum(g) if need_b else None
         gx = None
         if need_x:
-            gxp = np.zeros((bsz, c, pad_h, pad_w), dtype=g.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, :, i:i + stride * (oh - 1) + 1:stride,
-                        j:j + stride * (ow - 1) + 1:stride] += w.data[:, 0, i, j][None, :, None, None] * g
-            gx = np.ascontiguousarray(gxp[:, :, padding:padding + in_h, padding:padding + in_w])
+            gxp = np.zeros(xp.shape, dtype=g.dtype)
+            for i, j, _ in taps:
+                gxp[:, _taps(i, stride, oh), _taps(j, stride, ow)] += w.data[:, 0, i, j] * g
+            gx = _unpad_map(gxp, padding)
         return (gx, gw, gb)
 
     record("depthwise_conv2d", out, (x, w, b), vjp)
@@ -521,53 +530,51 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: i
 # normalization
 
 
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over every axis but the last, accumulated in float64, in a's dtype."""
+    return a.reshape(-1, a.shape[-1]).sum(axis=0, dtype=np.float64).astype(a.dtype)
+
+
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
                running_var: np.ndarray, *, training: bool, momentum: float = 0.1,
                eps: float = 1e-5) -> Tensor:
-    """Per-channel batch norm over (B, H, W) of an NCHW tensor.
+    """Per-channel batch norm of a channels-last (B, H, W, C) map over its B*H*W rows.
 
     running_mean / running_var are plain arrays updated in place in training
     mode (unbiased variance for the running estimate, biased for the
     normalization itself). Eval mode normalizes with the running statistics.
+    The batch statistics and the gradient sums accumulate in float64.
     """
     if x.ndim != 4:
-        raise ShapeMismatch("batch_norm", f"expected NCHW input, got shape {x.shape}")
-    c = x.shape[1]
+        raise ShapeMismatch("batch_norm", f"expected (B, H, W, C) input, got shape {x.shape}")
+    c = x.shape[-1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeMismatch("batch_norm", f"gamma/beta must have shape ({c},), got "
                                           f"{gamma.shape} and {beta.shape}")
 
+    n = x.size // c
     if training:
-        n = x.shape[0] * x.shape[2] * x.shape[3]
-        mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
+        x2 = x.data.reshape(n, c)
+        mean = x2.mean(axis=0, dtype=np.float64)
+        var = x2.var(axis=0, dtype=np.float64)
         unbiased = var * (n / (n - 1)) if n > 1 else var
-        running_mean[...] = (1.0 - momentum) * running_mean + momentum * mean
-        running_var[...] = (1.0 - momentum) * running_var + momentum * unbiased
+        # the running update runs in float64 too, rounded once on the store
+        running_mean[...] = momentum * mean + (1.0 - momentum) * running_mean.astype(np.float64)
+        running_var[...] = momentum * unbiased + (1.0 - momentum) * running_var.astype(np.float64)
+        mean, var = mean.astype(x.dtype), var.astype(x.dtype)
     else:
-        n = 0
         mean = running_mean
         var = running_var
 
     istd = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean[None, :, None, None]) * istd[None, :, None, None]
-    out = Tensor(gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None],
-                 dtype=x.dtype)
-
-    need_x, need_g, need_b = x.requires_grad, gamma.requires_grad, beta.requires_grad
+    xhat = (x.data - mean) * istd
+    out = Tensor(gamma.data * xhat + beta.data, dtype=x.dtype)
 
     def vjp(g):
-        gg = (g * xhat).sum(axis=(0, 2, 3)) if need_g else None
-        gb = g.sum(axis=(0, 2, 3)) if need_b else None
-        gx = None
-        if need_x:
-            gs = gamma.data[None, :, None, None] * istd[None, :, None, None]
-            if training:
-                gsum = g.sum(axis=(0, 2, 3), keepdims=True)
-                gxsum = (g * xhat).sum(axis=(0, 2, 3), keepdims=True)
-                gx = gs * (g - gsum / n - xhat * (gxsum / n))
-            else:
-                gx = gs * g
+        gb = _row_sum(g)
+        gg = _row_sum(g * xhat)
+        gs = gamma.data * istd
+        gx = gs * (g - gb / n - xhat * (gg / n)) if training else gs * g
         return (gx, gg, gb)
 
     record("batch_norm", out, (x, gamma, beta), vjp)
@@ -609,7 +616,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, *, eps: float = 1e-5) -> 
 
 
 def add_map(x: Tensor, m: Tensor) -> Tensor:
-    """x + m with x (B, C, H, W) and m (C, H, W), broadcast over the batch."""
+    """x + m with x (B, H, W, C) and m (H, W, C), broadcast over the batch."""
     if x.ndim != 4 or m.shape != x.shape[1:]:
         raise ShapeMismatch("add_map", f"map shape {m.shape} must equal input shape "
                                        f"{x.shape} minus the batch axis")

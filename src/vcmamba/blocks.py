@@ -10,7 +10,9 @@ a learned positional map (stored at the stage-native grid and bilinearly
 resized elsewhere), applies a depthwise conv + SiLU, then runs the four-path
 direction-aware scan mix and projects back.
 
-Convolutions directly followed by a BN carry no bias.
+Convolutions directly followed by a BN carry no bias. The stem takes (B, 3, H, W)
+images and moves them to channels-last once; every block after it takes and
+returns a channels-last (B, H, W, C) map.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ class Stem(Module):
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 4 or x.shape[1] != 3:
             raise ShapeMismatch("stem", f"expected (B, 3, H, W) images, got {x.shape}")
-        x = ad.relu(self.norm1(self.conv1(x)))
+        x = ad.relu(self.norm1(self.conv1(ad.moveaxis(x, 1, 3))))
         return ad.relu(self.norm2(self.conv2(x)))
 
 
@@ -80,7 +82,7 @@ class DownsampleLayer(Module):
 class MambaBranch(Module):
     """Token mixing: 1x1 in-projection to 2x channels, positional map,
     depthwise conv + SiLU, four-path direction-aware scan mix and channel layer
-    norm on a channels-last map (one layout change each way), 1x1 out-projection + BN."""
+    norm, 1x1 out-projection + BN, all on the channels-last map."""
 
     def __init__(self, channels: int, native_grid: tuple[int, int], *, n_state: int = 16):
         super().__init__()
@@ -98,13 +100,13 @@ class MambaBranch(Module):
         self.out_norm = BatchNorm2d(channels)
 
     def forward(self, x: Tensor) -> Tensor:
-        _, _, h, w = x.shape
+        _, h, w, _ = x.shape
         z = self.in_proj(x)
-        pos = ad.bilinear_resize(self.pos_table, h, w)
+        pos = ad.moveaxis(ad.bilinear_resize(self.pos_table, h, w), 0, 2)
         z = ad.add_map(z, pos)
         z = ad.silu(self.dwconv(z))
-        z = self.mix_norm(directional_scan_sum(ad.moveaxis(z, 1, 3), self.ssm))
-        return self.out_norm(self.out_proj(ad.moveaxis(z, 3, 1)))
+        z = self.mix_norm(directional_scan_sum(z, self.ssm))
+        return self.out_norm(self.out_proj(z))
 
 
 class MdmBlock(Module):

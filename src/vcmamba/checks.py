@@ -243,10 +243,21 @@ def check_gradients() -> CheckResult:
         if not report.passed:
             failures.append(f"{tag}: {report.max_error:.2e}")
 
-    x = Tensor(rng.standard_normal((2, 3, 6, 6)), requires_grad=True, dtype=np.float64)
-    w = Tensor(rng.standard_normal((4, 3, 3, 3)) * 0.3, requires_grad=True, dtype=np.float64)
-    b = Tensor(rng.standard_normal(4) * 0.3, requires_grad=True, dtype=np.float64)
+    def t64(*shape, scale=1.0):
+        return Tensor(rng.standard_normal(shape) * scale, requires_grad=True, dtype=np.float64)
+
+    # the map ops take channels-last (B, H, W, C) maps
+    x, w, b = t64(2, 6, 6, 3), t64(4, 3, 3, 3, scale=0.3), t64(4, scale=0.3)
     run("conv2d", lambda: ad.conv2d(x, w, b, stride=2, padding=1).sum(), [x, w, b])
+    wd, bd = t64(3, 1, 3, 3, scale=0.3), t64(3, scale=0.3)
+    weights = Tensor(rng.standard_normal((2, 6, 6, 3)), dtype=np.float64)
+    run("depthwise_conv2d",
+        lambda: ad.mul(ad.depthwise_conv2d(x, wd, bd, padding=1), weights).sum(), [x, wd, bd])
+    gamma, beta = t64(3, scale=0.3), t64(3, scale=0.3)
+    stats = np.zeros(3), np.ones(3)
+    run("batch_norm (training)",
+        lambda: ad.mul(ad.batch_norm(x, gamma, beta, *stats, training=True), weights).sum(),
+        [x, gamma, beta])
 
     xl = Tensor(rng.standard_normal((5, 4)), requires_grad=True, dtype=np.float64)
     wl = Tensor(rng.standard_normal((3, 4)), requires_grad=True, dtype=np.float64)
@@ -277,7 +288,7 @@ def check_residual_passthrough() -> CheckResult:
     from .blocks import FfnBlock, MdmBlock
 
     rng = np.random.default_rng(29)
-    x = Tensor(rng.standard_normal((2, 8, 5, 5)), dtype=np.float64)
+    x = Tensor(rng.standard_normal((2, 5, 5, 8)), dtype=np.float64)
 
     ffn = FfnBlock(8).draw(np.random.default_rng(1)).to(np.float64).eval()
     ffn.mlp.project.weight.data[...] = 0.0
@@ -296,10 +307,10 @@ def check_residual_passthrough() -> CheckResult:
 
 
 def check_shape_ladder() -> CheckResult:
-    """Stage-by-stage feature shapes of the B preset at 224 input."""
+    """Stage-by-stage channels-last feature shapes of the B preset at 224 input."""
     model = VCMamba.undrawn(PRESETS["B"]).eval()
     x = Tensor(np.zeros((1, 3, 224, 224), dtype=np.float32))
-    expected = [(1, 64, 56, 56), (1, 128, 28, 28), (1, 320, 14, 14), (1, 512, 7, 7)]
+    expected = [(1, 56, 56, 64), (1, 28, 28, 128), (1, 14, 14, 320), (1, 7, 7, 512)]
     t = model.stem(x)
     got = []
     t = model.stage1(t)
@@ -310,7 +321,7 @@ def check_shape_ladder() -> CheckResult:
     got.append(t.shape)
     t = model.stage4(model.down3(t))
     got.append(t.shape)
-    logits = model.head(ad.global_avg_pool(t))
+    logits = model.head(ad.global_avg_pool(ad.moveaxis(t, 3, 1)))
     if got != expected or logits.shape != (1, 1000):
         return _result("shape_ladder", False, f"got {got} logits {logits.shape}")
     return _result("shape_ladder", True, f"stages {got}, logits {logits.shape}")

@@ -4,7 +4,8 @@ Stage layout: a 4x-reducing convolutional stem, then four stages separated
 by stride-2 downsamplers. Stages 1-3 are pure FFN stacks; stage 4 interleaves
 Mamba mixing blocks with FFN blocks, Mamba first. Every stage is wrapped in
 an entry and an exit BatchNorm. The head is global average pooling plus one
-linear layer.
+linear layer. Images and features() are (B, C, H, W); between the stem and the
+end of stage 4 every map is channels-last, (B, H, W, C).
 
 Presets:
     S    channels (32, 64, 144, 288),  blocks (4F, 4F, 12F, 4F + 4M)
@@ -177,7 +178,7 @@ class VCMamba(Module):
         x = self.down1(self.stage1(x))
         x = self.down2(self.stage2(x))
         x = self.down3(self.stage3(x))
-        return self.stage4(x)
+        return ad.moveaxis(self.stage4(x), 3, 1)
 
     def forward(self, x: Tensor) -> Tensor:
         return self.head(ad.global_avg_pool(self.features(x)))

@@ -7,6 +7,8 @@ order, which makes parameter iteration and serialization deterministic.
 Module.declare registers a random parameter as zeros; Module.draw fills each in
 float32 from one generator in attribute insertion order, not named_parameters
 order (own before children's). Module.to casts a whole tree to another dtype.
+Each module knows its dotted name in the tree (Module.qualname), and a
+ModuleError raised in a forward pass names the innermost module it leaves.
 """
 
 from __future__ import annotations
@@ -31,6 +33,13 @@ def trunc_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray
     return out.astype(ad.DEFAULT_DTYPE)
 
 
+class ModuleError(RuntimeError):
+    """A runtime fault met in a forward pass. The innermost Module.__call__ it
+    leaves sets module to that module's qualname."""
+
+    module: str | None = None
+
+
 class Module:
     """Base class with recursive parameter/buffer/child bookkeeping."""
 
@@ -40,6 +49,7 @@ class Module:
         object.__setattr__(self, "_children", {})
         object.__setattr__(self, "_inits", {})
         object.__setattr__(self, "training", True)
+        object.__setattr__(self, "qualname", "")   # dotted name under the root module
 
     def __setattr__(self, name: str, value) -> None:
         if isinstance(value, Tensor):
@@ -48,7 +58,13 @@ class Module:
                 value.name = name
         elif isinstance(value, Module):
             self._children[name] = value
+            value._place(f"{self.qualname}.{name}" if self.qualname else name)
         object.__setattr__(self, name, value)
+
+    def _place(self, qualname: str) -> None:
+        object.__setattr__(self, "qualname", qualname)
+        for name, child in self._children.items():
+            child._place(f"{qualname}.{name}")
 
     def register_buffer(self, name: str, value: np.ndarray) -> None:
         self._buffers[name] = value
@@ -109,7 +125,12 @@ class Module:
             p.zero_grad()
 
     def __call__(self, *args, **kwargs):
-        return self.forward(*args, **kwargs)
+        try:
+            return self.forward(*args, **kwargs)
+        except ModuleError as err:
+            if err.module is None:
+                err.module = self.qualname
+            raise
 
     def forward(self, *args, **kwargs):
         raise NotImplementedError
@@ -167,6 +188,8 @@ class Linear(Module):
 
 
 class BatchNorm2d(Module):
+    """Batch norm of a channels-last (B, H, W, C) map, per channel."""
+
     eps = 1e-5
     momentum = 0.1
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeMismatch, Tensor
-from .nn import Module
+from .nn import Module, ModuleError
 from .scanpath import Direction, gather_tokens, path_table, scatter_tokens
 
 N_DIRECTIONS = len(Direction)
@@ -46,20 +46,27 @@ N_DIRECTIONS = len(Direction)
 CHUNK = 8
 
 
-class NonFiniteStateError(RuntimeError):
+class NonFiniteStateError(ModuleError):
     """Non-finite scan delta, state or output, a runtime fault. Names the first
     bad token and, in it, the first bad batch row; raised from the four-path
-    mix it also names the path, the image and the grid cell (row, col)."""
+    mix it also names the path, the image and the grid cell (row, col), and
+    from a model the module, e.g. "stage4.blocks.2.mamba, path col_snake_br,
+    image 5, cell (3, 4)"."""
 
     def __init__(self, token_index: int, row: int, what: str = "value", *,
                  path: str | None = None, image: int | None = None,
                  cell: tuple[int, int] | None = None):
-        where = f"token index {token_index}, batch row {row}"
-        if path is not None:
-            where = f"path {path}, image {image}, cell {cell} ({where})"
-        super().__init__(f"scan produced a non-finite {what} at {where}")
+        super().__init__(token_index, row, what)
         self.token_index, self.row, self.what = token_index, row, what
         self.path, self.image, self.cell = path, image, cell
+
+    def __str__(self) -> str:
+        where = f"token index {self.token_index}, batch row {self.row}"
+        if self.path is not None:
+            where = f"path {self.path}, image {self.image}, cell {self.cell} ({where})"
+        if self.module:
+            where = f"{self.module}, {where}"
+        return f"scan produced a non-finite {self.what} at {where}"
 
 
 def _first_bad(bad: np.ndarray, what: str = "value") -> NonFiniteStateError:

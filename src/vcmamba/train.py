@@ -8,10 +8,11 @@ diverged run ends instead with a phase=diverged row, nan where not measured.
 
 The checkpoint file always holds the most recent finite state: it is
 written at initialization, every checkpoint_every steps and at the end. If
-the loss or the gradient norm turns non-finite, or the forward or backward
-pass meets a non-finite scan state (NonFiniteStateError), the run aborts
-with TrainingDiverged before the update and the last written checkpoint
-stays on disk untouched.
+the loss or the gradient norm turns non-finite, or the forward pass meets a
+non-finite scan delta or state (NonFiniteStateError), the run aborts with
+TrainingDiverged before the update and the last written checkpoint stays on
+disk untouched. The scan backward checks nothing: a non-finite scan gradient
+shows up as a non-finite gradient norm.
 """
 
 from __future__ import annotations

@@ -197,18 +197,21 @@ def _op_gradient_cases(rng):
     def w(*shape):  # fixed weighting so reductions are not permutation-blind
         return Tensor(rng.standard_normal(shape), dtype=F64)
 
+    def nhwc(a):  # the map ops take channels-last maps
+        return Tensor(np.moveaxis(a.data, 1, -1), requires_grad=a.requires_grad, dtype=F64)
+
     x23, y23, wt23 = t(2, 3), t(2, 3), w(2, 3)
     xk = Tensor(rng.uniform(0.2, 1.0, size=(2, 3)) * rng.choice([-1.0, 1.0], size=(2, 3)),
                 requires_grad=True, dtype=F64)  # kept away from the relu kink
     x235 = t(2, 3, 5)
     wt65, wt253, wt234 = w(6, 5), w(2, 5, 3), w(2, 3, 4)
     idx = np.array([4, 0, 0, 2])
-    xc, wc, bc = t(2, 3, 5, 5), t(4, 3, 3, 3), t(4)
-    wt_conv = w(2, 4, 3, 3)
-    xd, wd, bd = t(2, 3, 5, 5), t(3, 1, 3, 3), t(3)
-    wt_dw = w(2, 3, 3, 3)
+    xc, wc, bc = nhwc(t(2, 3, 5, 5)), t(4, 3, 3, 3), t(4)
+    wt_conv = nhwc(w(2, 4, 3, 3))
+    xd, wd, bd = nhwc(t(2, 3, 5, 5)), t(3, 1, 3, 3), t(3)
+    wt_dw = nhwc(w(2, 3, 3, 3))
     xl, wl, bl, wt_lin = t(2, 4), t(3, 4), t(3), w(2, 3)
-    xb, gb, bb, wt_bn = t(2, 3, 2, 2), t(3, lo=0.5, hi=1.5), t(3), w(2, 3, 2, 2)
+    xb, gb, bb, wt_bn = nhwc(t(2, 3, 2, 2)), t(3, lo=0.5, hi=1.5), t(3), nhwc(w(2, 3, 2, 2))
     rm, rv = np.zeros(3), np.ones(3)
     xn, gn, bn, wt_ln = t(2, 3, 4), t(4, lo=0.5, hi=1.5), t(4), w(2, 3, 4)
     xm, mm, wt_map = t(2, 3, 2, 2), t(3, 2, 2), w(2, 3, 2, 2)
@@ -285,8 +288,9 @@ def test_c06_finite_difference_gradients(criterion_report):
             failures.append(f"{name}: {report}")
 
     block = MdmBlock(4, (2, 2)).draw(np.random.default_rng(7)).to(F64).train()
-    xb = Tensor(rng.standard_normal((1, 4, 2, 2)), requires_grad=True, dtype=F64)
-    wtb = Tensor(rng.standard_normal((1, 4, 2, 2)), dtype=F64)
+    xb = Tensor(np.moveaxis(rng.standard_normal((1, 4, 2, 2)), 1, -1), requires_grad=True,
+                dtype=F64)
+    wtb = Tensor(np.moveaxis(rng.standard_normal((1, 4, 2, 2)), 1, -1), dtype=F64)
     report = finite_diff_check(lambda: ad.sum_all(ad.mul(block(xb), wtb)),
                                [p for _, p in block.named_parameters()] + [xb],
                                max_coords_per_tensor=4, rng=rng)
@@ -324,7 +328,7 @@ def test_c07_shape_ladder(criterion_report):
     t0 = time.perf_counter()
     model = VCMamba.undrawn(PRESETS["B"]).eval()
     x = Tensor(np.zeros((1, 3, 224, 224), dtype=np.float32))
-    expected = [(1, 64, 56, 56), (1, 128, 28, 28), (1, 320, 14, 14), (1, 512, 7, 7)]
+    expected = [(1, 56, 56, 64), (1, 28, 28, 128), (1, 14, 14, 320), (1, 7, 7, 512)]
     t = model.stage1(model.stem(x))
     got = [t.shape]
     t = model.stage2(model.down1(t))
@@ -333,7 +337,7 @@ def test_c07_shape_ladder(criterion_report):
     got.append(t.shape)
     t = model.stage4(model.down3(t))
     got.append(t.shape)
-    logits = model.head(ad.global_avg_pool(t))
+    logits = model.head(ad.global_avg_pool(ad.moveaxis(t, 3, 1)))
     ok = got == expected and logits.shape == (1, 1000)
     detail = f"stages {got}, logits {logits.shape} in {time.perf_counter() - t0:.1f}s"
     criterion_report("C7 variant-B shape ladder at 224", ok, detail)
@@ -342,7 +346,7 @@ def test_c07_shape_ladder(criterion_report):
 
 def test_c08_passthrough_invariants(criterion_report):
     rng = np.random.default_rng(808)
-    x = Tensor(rng.standard_normal((2, 8, 5, 5)), dtype=F64)
+    x = Tensor(rng.standard_normal((2, 5, 5, 8)), dtype=F64)
 
     ffn = FfnBlock(8).draw(np.random.default_rng(1)).to(F64).eval()
     ffn.mlp.project.weight.data[...] = 0.0

@@ -21,6 +21,15 @@ def t64(data, requires_grad=True, name=None):
                   name=name, dtype=F64)
 
 
+def nhwc(a):
+    """(B, C, H, W) -> channels-last (B, H, W, C), the layout the map ops take."""
+    return np.moveaxis(a, 1, -1)
+
+
+def nchw(a):
+    return np.moveaxis(a, -1, 1)
+
+
 def assert_grads_ok(f, wrt, **kw):
     report = finite_diff_check(f, wrt, **kw)
     assert report.passed, str(report)
@@ -310,28 +319,28 @@ class TestLinear:
 
 class TestConv2d:
     def test_ones_kernel_counts_window(self):
-        x = t64(np.ones((1, 1, 3, 3)))
+        x = t64(np.ones((1, 3, 3, 1)))
         w = t64(np.ones((1, 1, 2, 2)))
         y = ad.conv2d(x, w)
-        np.testing.assert_array_equal(y.data, np.full((1, 1, 2, 2), 4.0))
+        np.testing.assert_array_equal(y.data, np.full((1, 2, 2, 1), 4.0))
 
     def test_matches_loop_oracle(self, rng):
         for stride, padding, kh, kw in [(1, 0, 3, 3), (2, 1, 3, 3), (1, 2, 2, 3), (3, 0, 1, 1)]:
             x = rng.normal(size=(2, 3, 7, 6))
             w = rng.normal(size=(4, 3, kh, kw))
             b = rng.normal(size=4)
-            y = ad.conv2d(t64(x), t64(w), t64(b), stride=stride, padding=padding)
-            np.testing.assert_allclose(y.data, conv2d_loops(x, w, b, stride, padding),
+            y = ad.conv2d(t64(nhwc(x)), t64(w), t64(b), stride=stride, padding=padding)
+            np.testing.assert_allclose(nchw(y.data), conv2d_loops(x, w, b, stride, padding),
                                        atol=1e-10)
 
     def test_output_shape_formula(self, rng):
         for h, wd, k, s, p in [(11, 7, 3, 2, 1), (8, 8, 5, 3, 2), (6, 9, 1, 1, 0)]:
-            x = t64(rng.normal(size=(1, 2, h, wd)))
+            x = t64(rng.normal(size=(1, h, wd, 2)))
             w = t64(rng.normal(size=(3, 2, k, k)))
             y = ad.conv2d(x, w, stride=s, padding=p)
             oh = (h + 2 * p - k) // s + 1
             ow = (wd + 2 * p - k) // s + 1
-            assert y.shape == (1, 3, oh, ow)
+            assert y.shape == (1, oh, ow, 3)
 
     def test_kernel_larger_than_input_raises(self):
         with pytest.raises(ShapeMismatch):
@@ -339,7 +348,7 @@ class TestConv2d:
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ShapeMismatch):
-            ad.conv2d(t64(np.zeros((1, 3, 4, 4))), t64(np.zeros((2, 4, 3, 3))))
+            ad.conv2d(t64(np.zeros((1, 4, 4, 3))), t64(np.zeros((2, 4, 3, 3))))
 
 
 class TestDepthwiseConv2d:
@@ -348,8 +357,9 @@ class TestDepthwiseConv2d:
             x = rng.normal(size=(2, 4, 6, 5))
             w = rng.normal(size=(4, 1, 3, 3))
             b = rng.normal(size=4)
-            y = ad.depthwise_conv2d(t64(x), t64(w), t64(b), stride=stride, padding=padding)
-            np.testing.assert_allclose(y.data, depthwise_loops(x, w, b, stride, padding),
+            y = ad.depthwise_conv2d(t64(nhwc(x)), t64(w), t64(b), stride=stride,
+                                    padding=padding)
+            np.testing.assert_allclose(nchw(y.data), depthwise_loops(x, w, b, stride, padding),
                                        atol=1e-12)
 
     def test_channels_stay_separate(self, rng):
@@ -357,13 +367,13 @@ class TestDepthwiseConv2d:
         x = rng.normal(size=(1, 3, 5, 5))
         w = rng.normal(size=(3, 1, 3, 3))
         w[1] = 0.0
-        y = ad.depthwise_conv2d(t64(x), t64(w), padding=1)
-        assert np.all(y.data[:, 1] == 0.0)
-        assert np.any(y.data[:, 0] != 0.0)
+        y = ad.depthwise_conv2d(t64(nhwc(x)), t64(w), padding=1)
+        assert np.all(y.data[..., 1] == 0.0)
+        assert np.any(y.data[..., 0] != 0.0)
 
     def test_weight_shape_validated(self):
         with pytest.raises(ShapeMismatch):
-            ad.depthwise_conv2d(t64(np.zeros((1, 3, 4, 4))), t64(np.zeros((4, 1, 3, 3))))
+            ad.depthwise_conv2d(t64(np.zeros((1, 4, 4, 3))), t64(np.zeros((4, 1, 3, 3))))
 
 
 # ---------------------------------------------------------------------------
@@ -375,25 +385,25 @@ class TestBatchNorm:
         return np.zeros(c, dtype=F64), np.ones(c, dtype=F64)
 
     def test_train_normalizes_batch(self, rng):
-        x = t64(rng.normal(loc=3.0, scale=2.0, size=(4, 3, 5, 5)))
+        x = t64(nhwc(rng.normal(loc=3.0, scale=2.0, size=(4, 3, 5, 5))))
         gamma, beta = t64(np.ones(3)), t64(np.zeros(3))
         rm, rv = self._stats(3)
         y = ad.batch_norm(x, gamma, beta, rm, rv, training=True)
-        np.testing.assert_allclose(y.data.mean(axis=(0, 2, 3)), 0.0, atol=1e-10)
-        np.testing.assert_allclose(y.data.var(axis=(0, 2, 3)), 1.0, atol=1e-4)
+        np.testing.assert_allclose(y.data.mean(axis=(0, 1, 2)), 0.0, atol=1e-10)
+        np.testing.assert_allclose(y.data.var(axis=(0, 1, 2)), 1.0, atol=1e-4)
 
     def test_train_constant_channel_maps_to_beta(self):
-        x = t64(np.full((2, 2, 3, 3), 7.0))
+        x = t64(np.full((2, 3, 3, 2), 7.0))
         gamma, beta = t64([2.0, 2.0]), t64([0.5, -0.5])
         rm, rv = self._stats(2)
         y = ad.batch_norm(x, gamma, beta, rm, rv, training=True)
-        np.testing.assert_allclose(y.data[:, 0], 0.5, atol=1e-6)
-        np.testing.assert_allclose(y.data[:, 1], -0.5, atol=1e-6)
+        np.testing.assert_allclose(y.data[..., 0], 0.5, atol=1e-6)
+        np.testing.assert_allclose(y.data[..., 1], -0.5, atol=1e-6)
 
     def test_running_stats_update_formula(self, rng):
         x = rng.normal(loc=1.0, size=(2, 3, 4, 4))
         rm, rv = self._stats(3)
-        ad.batch_norm(t64(x), t64(np.ones(3)), t64(np.zeros(3)), rm, rv,
+        ad.batch_norm(t64(nhwc(x)), t64(np.ones(3)), t64(np.zeros(3)), rm, rv,
                       training=True, momentum=0.1)
         n = 2 * 4 * 4
         mean = x.mean(axis=(0, 2, 3))
@@ -406,15 +416,15 @@ class TestBatchNorm:
         gamma, beta = t64([1.5, 0.5]), t64([0.1, -0.2])
         rm = np.array([0.3, -0.4])
         rv = np.array([1.2, 0.8])
-        y = ad.batch_norm(t64(x), gamma, beta, rm.copy(), rv.copy(), training=False)
+        y = ad.batch_norm(t64(nhwc(x)), gamma, beta, rm.copy(), rv.copy(), training=False)
         expected = (gamma.data[None, :, None, None]
                     * (x - rm[None, :, None, None]) / np.sqrt(rv[None, :, None, None] + 1e-5)
                     + beta.data[None, :, None, None])
-        np.testing.assert_allclose(y.data, expected, atol=1e-12)
+        np.testing.assert_allclose(nchw(y.data), expected, atol=1e-12)
 
     def test_eval_leaves_running_stats_alone(self, rng):
         rm, rv = self._stats(2)
-        ad.batch_norm(t64(rng.normal(size=(2, 2, 3, 3))), t64(np.ones(2)), t64(np.zeros(2)),
+        ad.batch_norm(t64(rng.normal(size=(2, 3, 3, 2))), t64(np.ones(2)), t64(np.zeros(2)),
                       rm, rv, training=False)
         np.testing.assert_array_equal(rm, 0.0)
         np.testing.assert_array_equal(rv, 1.0)
@@ -563,7 +573,7 @@ class TestGradients:
 
     @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), (1, 2)])
     def test_conv2d(self, rng, stride, padding):
-        x = t64(rng.normal(size=(2, 2, 5, 4)), name="x")
+        x = t64(nhwc(rng.normal(size=(2, 2, 5, 4))), name="x")
         w = t64(rng.normal(size=(3, 2, 3, 2)), name="w")
         b = t64(rng.normal(size=3), name="b")
 
@@ -575,7 +585,7 @@ class TestGradients:
 
     @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1)])
     def test_depthwise_conv2d(self, rng, stride, padding):
-        x = t64(rng.normal(size=(2, 3, 5, 5)), name="x")
+        x = t64(nhwc(rng.normal(size=(2, 3, 5, 5))), name="x")
         w = t64(rng.normal(size=(3, 1, 3, 3)), name="w")
         b = t64(rng.normal(size=3), name="b")
 
@@ -586,7 +596,7 @@ class TestGradients:
         assert_grads_ok(f, [x, w, b])
 
     def test_batch_norm_training(self, rng):
-        x = t64(rng.normal(size=(3, 2, 4, 4)), name="x")
+        x = t64(nhwc(rng.normal(size=(3, 2, 4, 4))), name="x")
         gamma = t64(rng.uniform(0.5, 1.5, size=2), name="gamma")
         beta = t64(rng.normal(size=2), name="beta")
         rm, rv = np.zeros(2), np.ones(2)
@@ -598,7 +608,7 @@ class TestGradients:
         assert_grads_ok(f, [x, gamma, beta])
 
     def test_batch_norm_eval(self, rng):
-        x = t64(rng.normal(size=(2, 2, 3, 3)), name="x")
+        x = t64(nhwc(rng.normal(size=(2, 2, 3, 3))), name="x")
         gamma = t64(rng.uniform(0.5, 1.5, size=2), name="gamma")
         beta = t64(rng.normal(size=2), name="beta")
         rm = rng.normal(size=2)

@@ -122,15 +122,16 @@ class TestForwardShapes:
         model = VCMamba(get_preset("nano"), seed=0).eval()
         x = Tensor(rng.normal(size=(2, 3, 32, 32)).astype(np.float32))
         h = model.stem(x)
-        assert h.shape == (2, 16, 8, 8)
+        assert h.shape == (2, 8, 8, 16)
         h = model.down1(model.stage1(h))
-        assert h.shape == (2, 32, 4, 4)
+        assert h.shape == (2, 4, 4, 32)
         h = model.down2(model.stage2(h))
-        assert h.shape == (2, 64, 2, 2)
+        assert h.shape == (2, 2, 2, 64)
         h = model.down3(model.stage3(h))
-        assert h.shape == (2, 128, 1, 1)
+        assert h.shape == (2, 1, 1, 128)
         h = model.stage4(h)
-        assert h.shape == (2, 128, 1, 1)
+        assert h.shape == (2, 1, 1, 128)
+        assert model.features(x).shape == (2, 128, 1, 1)
         logits = model(x)
         assert logits.shape == (2, 10)
 
@@ -213,6 +214,25 @@ class TestBuildPinning:
         drawn = dict(named_state(undrawn.draw(np.random.default_rng(3))))
         for name, arr in built.items():
             assert np.array_equal(drawn[name], arr), name
+
+
+class TestQualnames:
+    def test_every_module_knows_its_dotted_name(self):
+        model = VCMamba.undrawn(get_preset("nano"))
+        assert model.qualname == ""
+        assert model.stage4.blocks[2].mamba.qualname == "stage4.blocks.2.mamba"
+        assert model.stage4.blocks[2].mamba.ssm.qualname == "stage4.blocks.2.mamba.ssm"
+        # a parameter's name is its owner's qualname plus its own attribute name
+        owners = {}
+
+        def walk(module):
+            owners.update({f"{module.qualname}.{n}".lstrip("."): p
+                           for n, p in module._params.items()})
+            for child in module._children.values():
+                walk(child)
+
+        walk(model)
+        assert owners == dict(model.named_parameters())
 
 
 class TestModuleTo:

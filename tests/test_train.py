@@ -269,6 +269,25 @@ class TestTrainLoop:
         for (_, p1), (_, p2) in zip(init.named_parameters(), saved.named_parameters()):
             np.testing.assert_array_equal(p1.data, p2.data)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in logaddexp:RuntimeWarning")
+    def test_nonfinite_scan_state_names_the_module(self, tmp_path, monkeypatch):
+        # nano's stage 4 is M, F, M: the second Mamba block is blocks.2, and its
+        # 1x1 grid has one cell; path 0 (row_snake_tl), image 0 fails first
+        real_step = AdamW.step
+
+        def poisoned_step(opt):
+            real_step(opt)
+            dict(opt.params)["stage4.blocks.2.mamba.ssm.dt_bias"].data[0] = np.nan
+
+        monkeypatch.setattr(AdamW, "step", poisoned_step)
+        with pytest.raises(TrainingDiverged) as err:
+            train(small_cfg(tmp_path))
+        state = err.value.__cause__
+        assert state.module == "stage4.blocks.2.mamba"
+        assert ("non-finite model state (scan produced a non-finite delta at "
+                "stage4.blocks.2.mamba, path row_snake_tl, image 0, cell (0, 0) "
+                "(token index 0, batch row 0)) at step 2") in str(err.value)
+
     def test_invalid_config_rejected_before_work(self, tmp_path):
         with pytest.raises(ValueError):
             train(small_cfg(tmp_path, steps=0))

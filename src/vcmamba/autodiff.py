@@ -424,7 +424,7 @@ def _taps(i: int, stride: int, n_out: int) -> slice:
 
 
 def _pad_map(a: np.ndarray, padding: int) -> np.ndarray:
-    return np.pad(a, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    return np.pad(a, ((0, 0), (padding, padding), (padding, padding), (0, 0))) if padding else a
 
 
 def _unpad_map(a: np.ndarray, padding: int) -> np.ndarray:
@@ -445,13 +445,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
     if b is not None and b.shape != (cout,):
         raise ShapeMismatch("conv2d", f"bias shape {b.shape} must be ({cout},)")
 
-    pointwise = kh == kw == stride == 1 and padding == 0
-    if pointwise:
-        cols = x.data.reshape(-1, cin)
-    else:
-        xp = _pad_map(x.data, padding)
-        win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-        cols = np.ascontiguousarray(win).reshape(bsz * oh * ow, cin * kh * kw)
+    xp = _pad_map(x.data, padding)
+    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    cols = np.ascontiguousarray(win).reshape(bsz * oh * ow, cin * kh * kw)
     wmat = w.data.reshape(cout, cin * kh * kw)
     y = cols @ wmat.T
     if b is not None:
@@ -466,9 +462,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
         gw = (g2.T @ cols).reshape(w.shape) if need_w else None
         gb = g2.sum(axis=0) if need_b else None
         gx = None
-        if need_x and pointwise:
-            gx = (g2 @ wmat).reshape(x.shape)
-        elif need_x:
+        if need_x:
             gcols = (g2 @ wmat).reshape(bsz, oh, ow, cin, kh, kw)
             gxp = np.zeros(xp.shape, dtype=g.dtype)
             for i in range(kh):
@@ -484,7 +478,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
 def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
                      padding: int = 0) -> Tensor:
     """Per-channel cross-correlation of a channels-last (B, H, W, C) map, weight
-    (C, 1, kh, kw). The weight and bias gradients sum over B*oh*ow rows in float64."""
+    (C, 1, kh, kw)."""
     oh, ow = _check_conv_args("depthwise_conv2d", x, w, stride, padding)
     bsz, _, _, c = x.shape
     wc, one, kh, kw = w.shape
@@ -512,8 +506,8 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: i
         if need_w:
             gw = np.zeros_like(w.data)
             for i, j, v in taps:
-                gw[:, 0, i, j] = _row_sum(g * v)
-        gb = _row_sum(g) if need_b else None
+                gw[:, 0, i, j] = _channel_sum(g * v)
+        gb = _channel_sum(g) if need_b else None
         gx = None
         if need_x:
             gxp = np.zeros(xp.shape, dtype=g.dtype)
@@ -530,9 +524,14 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: i
 # normalization
 
 
-def _row_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over every axis but the last, accumulated in float64, in a's dtype."""
-    return a.reshape(-1, a.shape[-1]).sum(axis=0, dtype=np.float64).astype(a.dtype)
+def _nchw(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(np.moveaxis(a, -1, 1))
+
+
+def _channel_sum(a: np.ndarray) -> np.ndarray:
+    """Per-channel sum of a channels-last map, taken over its (B, C, H, W) copy:
+    the NCHW summation order, so training keeps the bits of that layout."""
+    return _nchw(a).sum(axis=(0, 2, 3))
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
@@ -543,7 +542,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
     running_mean / running_var are plain arrays updated in place in training
     mode (unbiased variance for the running estimate, biased for the
     normalization itself). Eval mode normalizes with the running statistics.
-    The batch statistics and the gradient sums accumulate in float64.
+    The batch statistics and the gradient sums are taken in the NCHW order.
     """
     if x.ndim != 4:
         raise ShapeMismatch("batch_norm", f"expected (B, H, W, C) input, got shape {x.shape}")
@@ -554,14 +553,12 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
 
     n = x.size // c
     if training:
-        x2 = x.data.reshape(n, c)
-        mean = x2.mean(axis=0, dtype=np.float64)
-        var = x2.var(axis=0, dtype=np.float64)
+        xc = _nchw(x.data)
+        mean = xc.mean(axis=(0, 2, 3))
+        var = xc.var(axis=(0, 2, 3))
         unbiased = var * (n / (n - 1)) if n > 1 else var
-        # the running update runs in float64 too, rounded once on the store
-        running_mean[...] = momentum * mean + (1.0 - momentum) * running_mean.astype(np.float64)
-        running_var[...] = momentum * unbiased + (1.0 - momentum) * running_var.astype(np.float64)
-        mean, var = mean.astype(x.dtype), var.astype(x.dtype)
+        running_mean[...] = (1.0 - momentum) * running_mean + momentum * mean
+        running_var[...] = (1.0 - momentum) * running_var + momentum * unbiased
     else:
         mean = running_mean
         var = running_var
@@ -571,8 +568,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
     out = Tensor(gamma.data * xhat + beta.data, dtype=x.dtype)
 
     def vjp(g):
-        gb = _row_sum(g)
-        gg = _row_sum(g * xhat)
+        gb = _channel_sum(g)
+        gg = _channel_sum(g * xhat)
         gs = gamma.data * istd
         gx = gs * (g - gb / n - xhat * (gg / n)) if training else gs * g
         return (gx, gg, gb)

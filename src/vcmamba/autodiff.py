@@ -75,9 +75,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeMismatch("item", f"expected a single element, got shape {self.shape}")
@@ -153,10 +150,6 @@ class Tape:
 
     def __len__(self) -> int:
         return len(self._nodes)
-
-    @property
-    def consumed(self) -> bool:
-        return self._consumed
 
 
 _TAPE_STACK: list[Tape] = []

@@ -17,7 +17,7 @@ import numpy as np
 
 from .autodiff import Tape, Tensor, backward
 
-STEP = 1e-4         # central-difference step
+STEP = 1e-5         # central-difference step
 TOLERANCE = 1e-3    # largest mixed error that passes
 
 

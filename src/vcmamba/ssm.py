@@ -13,20 +13,20 @@ per token. The direction-aware form adds a learned per-direction term to B:
 token i's effective input matrix is delta_i * (b_i + table[dirs[i]]).
 
 Operands are (B, D, L); the kernel works scan axis first, (L, B, N, D). The
-literal route discretizes, updates and reads out one token per step, so its
-forward builds no (L, B, N, D) array. The scan is one tape op. While a tape
-records, the forward keeps the state entering each chunk of CHUNK tokens, and
-nothing else; the adjoint walks the chunks in reverse, recomputes a chunk's
-abar and states into two reused (CHUNK, B, N, D) buffers, then solves
-gh_i = gy_i c_i + abar_{i+1} gh_{i+1} one token at a time, writing that
-token's gradients as it goes. The alternate route, a log-depth doubling scan
-over the associative pair composition, is the oracle the literal one is
-tested against; it takes the chunk entry states from its state array and
-shares the adjoint. The model does not call it. A Mamba block makes one
-projection and one scan call on a channels-last (B, H, W, D) map: the map is
-projected once, the input and the projections are gathered into all four
-path orders with the paths folded into the batch axis, scanned, scattered
-back to a map and summed.
+recurrence is written once, in _chunk_states, which runs CHUNK tokens' abar
+and states into two (CHUNK, B, N, D) buffers from the state entering them.
+The literal forward walks the chunks with it and reads each one out, so it
+builds no (L, B, N, D) array. The scan is one tape op. While a tape records,
+the forward keeps each chunk's entry state, and nothing else; the adjoint
+walks the chunks in reverse, recomputes each with the same routine, then
+solves gh_i = gy_i c_i + abar_{i+1} gh_{i+1} one token at a time, writing
+that token's gradients as it goes. A log-depth doubling scan over the
+associative pair composition is the oracle the literal route is tested
+against; it takes the entry states from its state array and shares the
+adjoint. The model does not call it. A Mamba block makes one projection and
+one scan call on a channels-last (B, H, W, D) map: the map is projected once,
+the input and the projections are gathered into all four path orders with
+the paths folded into the batch axis, scanned, scattered back and summed.
 """
 
 from __future__ import annotations
@@ -147,11 +147,13 @@ def selective_projection(tokens: Tensor, params: SsmParams) -> tuple[Tensor, Ten
     return ad.softplus(dt), b_seq, c_seq
 
 
-def _discretize(delta: np.ndarray, a_t: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _discretize(delta: np.ndarray, a_t: np.ndarray, b: np.ndarray,
+                out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
     """Token-wise rule on the trailing axes: delta (..., D), A^T (N, D),
-    b (..., N) -> abar = exp(delta * A), bbar = delta * b, both (..., N, D)."""
-    abar = delta[..., None, :] * a_t
-    return np.exp(abar, out=abar), delta[..., None, :] * b[..., None]
+    b (..., N) -> abar = exp(delta * A), bbar = delta * b, both (..., N, D),
+    written into out = (abar, bbar) where given."""
+    abar = np.multiply(delta[..., None, :], a_t, out=out[0])
+    return np.exp(abar, out=abar), np.multiply(delta[..., None, :], b[..., None], out=out[1])
 
 
 def discretize(delta: np.ndarray, a_log: np.ndarray,
@@ -165,19 +167,25 @@ def discretize(delta: np.ndarray, a_log: np.ndarray,
     return abar.transpose(1, 3, 2, 0), bbar.transpose(1, 3, 2, 0)
 
 
-def _pair_scan_sequential(abar: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """h_i = abar_i * h_{i-1} + u_i with h_{-1} = 0, literal loop over the
-    leading (scan) axis."""
-    h, acc = np.empty_like(u), 0.0
-    for i in range(len(u)):
-        h[i] = acc = abar[i] * acc + u[i]
-    return h
+def _chunk_states(delta: np.ndarray, a_t: np.ndarray, b: np.ndarray, x: np.ndarray,
+                  h_in: np.ndarray | float, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """The literal recurrence over K tokens, scan axis first: delta, x (K, B, D),
+    b (K, B, N), A^T (N, D) and the state entering them, h_in (B, N, D) or 0.0
+    -> abar and the states h_i = abar_i h_{i-1} + (delta_i b_i) x_i, both
+    (K, B, N, D). With out, a (2, >= K, B, N, D) buffer pair, they are
+    written into its first K rows."""
+    abar, h = _discretize(delta, a_t, b, (None, None) if out is None else out[:, :len(x)])
+    h *= x[:, :, None, :]
+    for j in range(len(h)):
+        h[j] += abar[j] * (h[j - 1] if j else h_in)
+    return abar, h
 
 
 def _pair_scan_doubling(abar: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Same recurrence by recursive doubling over the associative pair
-    composition (a2, u2) o (a1, u1) = (a1 a2, a2 u1 + u2): after round s,
-    position i holds elements (i - 2s, i]; any L, in ceil(log2 L) rounds."""
+    """h_i = abar_i h_{i-1} + u_i from h_{-1} = 0 along the leading axis by
+    recursive doubling over the pair composition (a2, u2) o (a1, u1) =
+    (a1 a2, a2 u1 + u2): after round s, position i holds elements (i - 2s, i];
+    any L, in ceil(log2 L) rounds."""
     a = abar.copy()
     h = u.copy()
     shift = 1
@@ -221,10 +229,10 @@ def _check_scan_operands(op: str, inputs: ScanInputs, params: SsmParams,
 
 
 def _selective_scan(op: str, inputs: ScanInputs, params: SsmParams, *,
-                    with_directions: bool, scan):
+                    with_directions: bool, parallel: bool) -> Tensor:
     """Shared kernel body: y = C h + skip_gain * x with h_i = abar_i h_{i-1}
-    + delta_i (b_i [+ table[dirs_i]]) x_i as one fused tape node. Returns y and
-    a function recomputing (abar, h), both (L, B, N, D), by the route's scan."""
+    + delta_i (b_i [+ table[dirs_i]]) x_i as one fused tape node, its states
+    run by _chunk_states or, with parallel, by the doubling oracle."""
     _check_scan_operands(op, inputs, params, need_dirs=with_directions)
     x, delta, b_seq, c_seq = inputs.x, inputs.delta, inputs.b_seq, inputs.c_seq
     a_log, skip, table = params.a_log, params.skip_gain, params.direction_table
@@ -241,30 +249,29 @@ def _selective_scan(op: str, inputs: ScanInputs, params: SsmParams, *,
         beff = beff + table.data[dirs]
     a_t = np.ascontiguousarray(-np.exp(a_log.data.T))               # A^T, (N, D)
 
-    def states():
-        abar, bbar = _discretize(dt, a_t, beff)
-        bbar *= xt[:, :, None, :]
-        return abar, scan(abar, bbar)
-
-    # the state entering each chunk of the backward; an eval forward keeps none
+    # the state entering each chunk, kept for the backward while a tape records
     keep = ad.active_tape() is not None
     entry = [0.0]
     # numpy warnings are redundant here: the explicit check below raises a
     # typed error naming the first bad token
     with np.errstate(over="ignore", invalid="ignore"):
-        if scan is _pair_scan_doubling:
-            h = states()[1]
+        if parallel:
+            abar, u = _discretize(dt, a_t, beff)
+            u *= xt[:, :, None, :]
+            h = _pair_scan_doubling(abar, u)
             y = np.einsum("lbn,lbnd->lbd", ct, h)
             if keep:
                 entry.extend(h[CHUNK - 1:-1:CHUNK].copy())
-        else:  # literal route, one token per step: the working set is one (B, N, D) state
-            y, h = np.empty(xt.shape, np.result_type(dt, a_t, beff, xt, ct)), 0.0
-            for i in range(len(xt)):
-                if keep and i and not i % CHUNK:
-                    entry.append(h)
-                abar, bbar = _discretize(dt[i], a_t, beff[i])
-                h = abar * h + bbar * xt[i][:, None, :]
-                y[i] = np.einsum("bn,bnd->bd", ct[i], h)
+        else:  # literal route: the working set is one (2, CHUNK, B, N, D) buffer pair
+            y = np.empty(xt.shape, np.result_type(dt, a_t, beff, xt, ct))
+            buf, h_in = np.empty((2, min(CHUNK, len(y)), y.shape[1]) + a_t.shape, y.dtype), 0.0
+            for start in range(0, len(y), CHUNK):
+                if keep and start:
+                    entry.append(h_in)
+                chunk = slice(start, start + CHUNK)
+                h = _chunk_states(dt[chunk], a_t, beff[chunk], xt[chunk], h_in, buf)[1]
+                np.einsum("lbn,lbnd->lbd", ct[chunk], h, out=y[chunk])
+                h_in = h[-1].copy()
         y += skip.data * xt
     # a non-finite state entry makes its token's output non-finite
     bad = ~np.isfinite(y).all(axis=2)                               # (L, B)
@@ -277,19 +284,12 @@ def _selective_scan(op: str, inputs: ScanInputs, params: SsmParams, *,
         gy = np.ascontiguousarray(np.moveaxis(gy, -1, 0))           # (L, B, D)
         gx, gdelta, gb, gc = (np.empty_like(v) for v in (y, y, beff, ct))
         gdta_dt = np.zeros_like(a_t)          # sum over tokens and rows of gdta * delta
-        abar_buf, h_buf = np.empty((2, min(CHUNK, len(y)), y.shape[1]) + a_t.shape, y.dtype)
+        buf = np.empty((2, min(CHUNK, len(y)), y.shape[1]) + a_t.shape, y.dtype)
         carry = 0.0        # abar_{i+1} gh_{i+1}, formed before the buffers take the next chunk
         for start in reversed(range(0, len(y), CHUNK)):
-            chunk = slice(start, min(start + CHUNK, len(y)))
-            abar, h = abar_buf[:chunk.stop - start], h_buf[:chunk.stop - start]
-            np.exp(np.multiply(dt[chunk, :, None, :], a_t, out=abar), out=abar)
-            # the literal forward's states bit for bit:
-            # h_i = (delta_i b_i) x_i + abar_i h_{i-1}
-            np.multiply(dt[chunk, :, None, :], beff[chunk, :, :, None], out=h)
-            h *= xt[chunk, :, None, :]
+            chunk = slice(start, start + CHUNK)
             h_in = entry[start // CHUNK]
-            for j in range(len(h)):
-                h[j] += abar[j] * (h[j - 1] if j else h_in)
+            abar, h = _chunk_states(dt[chunk], a_t, beff[chunk], xt[chunk], h_in, buf)
             gc[chunk] = np.einsum("lbd,lbnd->lbn", gy[chunk], h)
             for j in reversed(range(len(h))):
                 i = start + j
@@ -310,23 +310,27 @@ def _selective_scan(op: str, inputs: ScanInputs, params: SsmParams, *,
                 (gy * xt).sum(axis=(0, 1)), gtable)
 
     ad.record(op, out, (x, delta, b_seq, c_seq, a_log, skip, table), vjp)
-    return out, states
+    return out
 
 
 def selective_scan_sequential(inputs: ScanInputs, params: SsmParams, *,
                               return_hidden: bool = False):
     """Direction-free scan evaluated as the literal recurrence; with return_hidden,
     also returns the (B, D, N, L) states, recomputed in full by the same
-    recurrence after the forward."""
-    out, states = _selective_scan("selective_scan_sequential", inputs, params,
-                                  with_directions=False, scan=_pair_scan_sequential)
-    return (out, states()[1].transpose(1, 3, 2, 0)) if return_hidden else out
+    routine after the forward."""
+    out = _selective_scan("selective_scan_sequential", inputs, params,
+                          with_directions=False, parallel=False)
+    if not return_hidden:
+        return out
+    xt, dt, b = (np.moveaxis(v.data, -1, 0) for v in (inputs.x, inputs.delta, inputs.b_seq))
+    h = _chunk_states(dt, -np.exp(params.a_log.data.T), b, xt, 0.0)[1]
+    return out, h.transpose(1, 3, 2, 0)
 
 
 def selective_scan_parallel(inputs: ScanInputs, params: SsmParams) -> Tensor:
     """Direction-free scan evaluated as the log-depth doubling scan."""
     return _selective_scan("selective_scan_parallel", inputs, params,
-                           with_directions=False, scan=_pair_scan_doubling)[0]
+                           with_directions=False, parallel=True)
 
 
 def direction_aware_scan(inputs: ScanInputs, params: SsmParams, *,
@@ -334,9 +338,8 @@ def direction_aware_scan(inputs: ScanInputs, params: SsmParams, *,
     """Scan with the per-direction additive B term, discretized exactly like B
     itself: token i's effective input matrix is delta_i * (b_i + table[dirs[i]]).
     A zero table reproduces the plain scan bit for bit."""
-    scan = _pair_scan_doubling if parallel else _pair_scan_sequential
     return _selective_scan("direction_aware_scan", inputs, params,
-                           with_directions=True, scan=scan)[0]
+                           with_directions=True, parallel=parallel)
 
 
 def directional_scan_sum(features: Tensor, params: SsmParams) -> Tensor:

@@ -1,0 +1,70 @@
+"""The benchmark's run-time hooks against the package they wrap.
+
+bench/tracing.py patches package functions by name and reads the scan
+operands' layout to count scanned elements. A rename or a layout change in
+``src/`` would break ``bench/run.py --trace 1`` without failing any kernel
+test; this one traces a single Mamba mixer forward instead.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from vcmamba.autodiff import Tensor
+from vcmamba.blocks import MAMBA_EXPANSION, MambaBranch
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def package_namespaces():
+    """Every vcmamba module and class namespace, name -> object, by identity."""
+    spaces = {}
+    for key, module in list(sys.modules.items()):
+        if key == "vcmamba" or key.startswith("vcmamba."):
+            spaces[key] = dict(vars(module))
+            for name, obj in vars(module).items():
+                if isinstance(obj, type) and obj.__module__ == key:
+                    spaces[f"{key}.{name}"] = dict(vars(obj))
+    return spaces
+
+
+def changed(before, now):
+    """The (namespace, name) pairs whose object is no longer the one before held."""
+    return {(space, name) for space, names in before.items()
+            for name, obj in names.items() if now[space].get(name) is not obj}
+
+
+def test_tracer_counts_one_scan_and_restores_the_package():
+    bsz, channels, n_state, (h, w) = 2, 4, 4, (3, 3)
+    branch = MambaBranch(channels, (h, w), n_state=n_state).draw(np.random.default_rng(0))
+    x = Tensor(np.random.default_rng(1).normal(size=(bsz, h, w, channels)))
+    before = package_namespaces()
+
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        installed = package_namespaces()
+        tracer.begin_op()
+        branch(x)
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    after = package_namespaces()
+
+    assert ("vcmamba.ssm", "direction_aware_scan") in changed(before, installed)
+    assert ("vcmamba.autodiff.Tape", "__enter__") in changed(before, installed)
+    assert not changed(before, after)
+
+    metrics, _ = tracer.summary()
+    assert metrics["ssm.scan_calls"] == 1
+    # four paths folded into the batch, each scanning L = H * W tokens
+    assert metrics["ssm.scan_elements"] == 4 * bsz * MAMBA_EXPANSION * channels * n_state * h * w

@@ -17,7 +17,7 @@ from vcmamba.autodiff import ShapeMismatch, Tape, Tensor, backward
 from vcmamba.nn import LayerNorm
 from vcmamba.scanpath import Direction, build_path, path_table
 from vcmamba.ssm import (CHUNK, N_DIRECTIONS, NonFiniteStateError, ScanInputs, SsmParams,
-                         _pair_scan_doubling, _pair_scan_sequential,
+                         _chunk_states, _pair_scan_doubling,
                          direction_aware_scan, directional_scan_sum, discretize,
                          selective_projection, selective_scan_parallel,
                          selective_scan_sequential)
@@ -179,26 +179,51 @@ class TestDiscretize:
 # recurrence cores
 
 
+def literal_pair_scan(a, u):
+    """h_i = a_i h_{i-1} + u_i from h_{-1} = 0, one step at a time along the leading axis."""
+    h, acc = np.empty_like(u), 0.0
+    for i in range(len(u)):
+        h[i] = acc = a[i] * acc + u[i]
+    return h
+
+
 class TestPairScanCores:
-    # the cores scan along the leading axis
+    # the literal loop above is the reference; the doubling oracle must match it
     def test_running_sum(self):
         a = np.ones((3, 1))
         u = np.array([[1.0], [2.0], [3.0]])
-        for core in (_pair_scan_sequential, _pair_scan_doubling):
+        for core in (literal_pair_scan, _pair_scan_doubling):
             np.testing.assert_allclose(core(a, u), [[1.0], [3.0], [6.0]], atol=1e-12)
 
     def test_geometric_decay(self):
         a = np.full((3, 1), 0.5)
         u = np.ones((3, 1))
-        for core in (_pair_scan_sequential, _pair_scan_doubling):
+        for core in (literal_pair_scan, _pair_scan_doubling):
             np.testing.assert_allclose(core(a, u), [[1.0], [1.5], [1.75]], atol=1e-12)
 
     def test_cores_agree_on_awkward_lengths(self, rng):
         for length in [1, 2, 3, 5, 7, 63, 64, 65, 257]:
             a = rng.uniform(0.1, 0.99, size=(length, 2, 3))
             u = rng.normal(size=(length, 2, 3))
-            np.testing.assert_allclose(_pair_scan_sequential(a, u),
+            np.testing.assert_allclose(literal_pair_scan(a, u),
                                        _pair_scan_doubling(a, u), atol=1e-10)
+
+    @pytest.mark.parametrize("length", [1, CHUNK - 1, CHUNK, 2 * CHUNK + 3])
+    def test_chunk_states_resume_from_entry_states(self, rng, length):
+        # the backward recomputes each chunk from the state entering it: that
+        # must give the states of one pass over all tokens, bit for bit
+        delta = rng.uniform(0.05, 0.3, size=(length, 2, 3))
+        b, x = rng.normal(size=(length, 2, 4)), rng.normal(size=(length, 2, 3))
+        a_t = -np.exp(rng.normal(size=(4, 3)))
+        abar, h = _chunk_states(delta, a_t, b, x, 0.0)
+        u = delta[:, :, None, :] * b[..., None] * x[:, :, None, :]
+        np.testing.assert_array_equal(h, literal_pair_scan(abar, u))
+        buf = np.empty((2, CHUNK, 2, 4, 3))
+        for start in range(0, length, CHUNK):
+            chunk = slice(start, start + CHUNK)
+            h_in = h[start - 1] if start else 0.0
+            np.testing.assert_array_equal(
+                _chunk_states(delta[chunk], a_t, b[chunk], x[chunk], h_in, buf)[1], h[chunk])
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +359,20 @@ class TestScanProperties:
             selective_scan_sequential(inp, p)
         assert err.value.token_index == 4
         assert "token index 4" in str(err.value)
+
+    def test_eval_forward_holds_less_than_one_state_array(self, rng):
+        # no tape: the forward keeps no chunk entry states, and its working
+        # set is one chunk's buffers. (4B, D, L, N) = (4, 64, 196, 16) in
+        # float32: one (L, 4B, N, D) array is 3.2 MB
+        inp = make_inputs(rng, b=4, d=64, n=16, length=196, dtype=np.float32, with_dirs=True)
+        p = make_params(64, 16, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            direction_aware_scan(inp, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 196 * 4 * 16 * 64 * 4, peak
 
 
 class TestScanValidation:

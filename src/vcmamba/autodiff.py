@@ -12,6 +12,11 @@ channel bias adds and the spatial-map add broadcast, every other elementwise
 binary op requires exactly matching shapes and raises ShapeMismatch
 otherwise. The convolutions, batch norm and the map add take channels-last
 (B, H, W, C) maps; global_avg_pool takes (B, C, H, W).
+
+With no active tape, gelu, silu and batch_norm write their output into their
+own scratch buffer; depthwise_conv2d, taped or not, accumulates its output a
+few rows at a time. Per element the float operations and their order are the
+taped route's, so both routes give the same bits.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ DEFAULT_DTYPE = np.float32
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT_2PI = 0.3989422804014327
+_ROWS = 4   # output rows per depthwise_conv2d forward tile
 
 
 class AutodiffError(RuntimeError):
@@ -342,7 +348,12 @@ def relu(a: Tensor) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """Exact (erf) form: x * Phi(x)."""
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    cdf = np.multiply(x, _INV_SQRT2)
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    if active_tape() is None:
+        return Tensor(np.multiply(x, cdf, out=cdf), dtype=a.dtype)
     return _pointwise("gelu", a, x * cdf,
                       lambda: cdf + x * (np.exp(-0.5 * x * x) * _INV_SQRT_2PI))
 
@@ -350,6 +361,8 @@ def gelu(a: Tensor) -> Tensor:
 def silu(a: Tensor) -> Tensor:
     x = a.data
     sig = expit(x)
+    if active_tape() is None:
+        return Tensor(np.multiply(x, sig, out=sig), dtype=a.dtype)
     return _pointwise("silu", a, x * sig, lambda: sig * (1.0 + x * (1.0 - sig)))
 
 
@@ -485,8 +498,13 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: i
     y = np.zeros((bsz, oh, ow, c), dtype=xp.dtype)
     taps = [(i, j, xp[:, _taps(i, stride, oh), _taps(j, stride, ow)])
             for i in range(kh) for j in range(kw)]
-    for i, j, v in taps:
-        y += w.data[:, 0, i, j] * v
+    wk = np.ascontiguousarray(np.moveaxis(w.data[:, 0], 0, -1))    # (kh, kw, C)
+    # _ROWS output rows at a time, so a tile's tap products stay in cache;
+    # every element still sums its taps in the same order
+    for r in range(0, oh, _ROWS):
+        tile = y[:, r:r + _ROWS]
+        for i, j, v in taps:
+            tile += wk[i, j] * v[:, r:r + _ROWS]
     if b is not None:
         y += b.data
     out = Tensor(y, dtype=y.dtype)
@@ -557,8 +575,12 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
         var = running_var
 
     istd = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * istd
-    out = Tensor(gamma.data * xhat + beta.data, dtype=x.dtype)
+    xhat = x.data - mean
+    xhat *= istd
+    # with no tape nothing reads xhat again, so the output overwrites it
+    y = np.multiply(gamma.data, xhat, out=xhat if active_tape() is None else None)
+    y += beta.data
+    out = Tensor(y, dtype=x.dtype)
 
     def vjp(g):
         gb = _channel_sum(g)

@@ -3,7 +3,8 @@
 bench/tracing.py patches package functions by name and reads the scan
 operands' layout to count scanned elements. A rename or a layout change in
 ``src/`` would break ``bench/run.py --trace 1`` without failing any kernel
-test; this one traces a single Mamba mixer forward instead.
+test; these trace a single Mamba mixer forward and a single eval ConvMlp
+forward instead.
 """
 
 import importlib.util
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from vcmamba.autodiff import Tensor
-from vcmamba.blocks import MAMBA_EXPANSION, MambaBranch
+from vcmamba.blocks import MAMBA_EXPANSION, ConvMlp, MambaBranch
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -68,3 +69,28 @@ def test_tracer_counts_one_scan_and_restores_the_package():
     assert metrics["ssm.scan_calls"] == 1
     # four paths folded into the batch, each scanning L = H * W tokens
     assert metrics["ssm.scan_elements"] == 4 * bsz * MAMBA_EXPANSION * channels * n_state * h * w
+
+
+def test_tracer_times_the_conv_mlp_ops_and_restores_them():
+    # the ops the conv stack's eval fast path changes stay visible to the trace
+    mlp = ConvMlp(4).draw(np.random.default_rng(0)).eval()
+    x = Tensor(np.random.default_rng(1).normal(size=(2, 5, 5, 4)))
+    before = package_namespaces()
+
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        installed = changed(before, package_namespaces())
+        tracer.begin_op()
+        mlp(x)
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+
+    ops = ("gelu", "depthwise_conv2d", "batch_norm")
+    assert {("vcmamba.autodiff", op) for op in ops} <= installed
+    assert not changed(before, package_namespaces())
+    metrics, _ = tracer.summary()
+    for op in ops:
+        assert metrics[f"autodiff.fwd_s.{op}"] > 0, op
+    assert metrics["blocks.fwd_s.ConvMlp"] > 0

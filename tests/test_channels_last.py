@@ -8,7 +8,15 @@ running statistics. The per-channel sums over B*H*W (batch-norm statistics
 and gradient sums, depthwise weight and bias gradients) are taken over a
 (B, C, H, W) copy for that, since a channels-last float32 sum adds the rows
 in another order and lands on other bits.
+
+With no tape active, GELU, SiLU and batch norm write their output into their
+own scratch buffer, and the depthwise forward runs in row tiles on either
+route. The tests at the end check that the tapeless route keeps the taped
+route's bits, leaves its inputs alone and holds about one output's worth of
+memory (two for the depthwise conv, which pads a copy of its input).
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,8 +139,13 @@ CONV_CASES = [
     ((1, 32, 112, 112), 128, 1, 1, 0),
     ((1, 576, 14, 14), 288, 1, 1, 0),
 ]
-DEPTHWISE_CASES = [(32, 64, 8, 8), (32, 256, 2, 2), (4, 128, 4, 4), (1, 128, 112, 112),
-                   (1, 576, 14, 14)]
+# (NCHW input shape, stride), padding 1: the nano and S@448 maps, then output
+# heights of 1, 3, 5 and 7 rows, which the forward's row tile does not divide
+# or is taller than, and a stride-2 map with 7 output rows
+DEPTHWISE_CASES = [((32, 64, 8, 8), 1), ((32, 256, 2, 2), 1), ((4, 128, 4, 4), 1),
+                   ((1, 128, 112, 112), 1), ((1, 576, 14, 14), 1),
+                   ((2, 16, 1, 5), 1), ((4, 32, 3, 3), 1), ((2, 24, 5, 7), 1),
+                   ((1, 576, 7, 7), 1), ((2, 32, 14, 13), 2)]
 DTYPES = [np.float32, np.float64]
 
 
@@ -156,15 +169,17 @@ def test_conv2d_keeps_every_bit(shape, cout, k, stride, padding, dtype):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("shape", DEPTHWISE_CASES)
-def test_depthwise_keeps_every_bit(shape, dtype):
+@pytest.mark.parametrize("shape,stride", DEPTHWISE_CASES,
+                         ids=[f"shape{i}" for i in range(len(DEPTHWISE_CASES))])
+def test_depthwise_keeps_every_bit(shape, stride, dtype):
     rng = np.random.default_rng(sum(shape))
     x = rng.standard_normal(shape).astype(dtype)
     w = rng.standard_normal((shape[1], 1, 3, 3)).astype(dtype)
     b = np.zeros(shape[1], dtype)
-    ref, ref_vjp = depthwise_nchw(x, w, 1, 1)
+    ref, ref_vjp = depthwise_nchw(x, w, stride, 1)
     g = rng.standard_normal(ref.shape).astype(dtype)
-    y, gx, (gw, gb) = run_op(lambda t, wt, bt: ad.depthwise_conv2d(t, wt, bt, padding=1),
+    y, gx, (gw, gb) = run_op(lambda t, wt, bt: ad.depthwise_conv2d(t, wt, bt, stride=stride,
+                                                                  padding=1),
                              nhwc(x), [w, b], nhwc(g))
     ref_gx, ref_gw, ref_gb = ref_vjp(g)
     np.testing.assert_array_equal(y, nhwc(ref))
@@ -200,3 +215,65 @@ def test_training_batch_norm_keeps_every_bit(shape, dtype):
     np.testing.assert_array_equal(gx, nhwc(ref_gx))
     np.testing.assert_array_equal(ggamma, ref_ggamma)
     np.testing.assert_array_equal(gbeta, ref_gbeta)
+
+
+def forward_ops(rng, channels, dtype):
+    """Name -> f(x Tensor) for the ops with a tapeless route, parameters drawn
+    once; each also returns the arrays besides x that it must leave alone."""
+    w = rng.standard_normal((channels, 1, 3, 3)).astype(dtype)
+    b = rng.standard_normal(channels).astype(dtype)
+    gamma = rng.uniform(0.5, 1.5, channels).astype(dtype)
+    beta = rng.standard_normal(channels).astype(dtype)
+    mean = rng.standard_normal(channels).astype(dtype)
+    var = rng.uniform(0.5, 2.0, channels).astype(dtype)
+    wt, bt = Tensor(w, dtype=dtype), Tensor(b, dtype=dtype)
+    gt, betat = Tensor(gamma, dtype=dtype), Tensor(beta, dtype=dtype)
+    return {
+        "gelu": (ad.gelu, []),
+        "silu": (ad.silu, []),
+        "batch_norm": (lambda t: ad.batch_norm(t, gt, betat, mean, var, training=False),
+                       [gamma, beta, mean, var]),
+        "depthwise_conv2d": (lambda t: ad.depthwise_conv2d(t, wt, bt, padding=1), [w, b]),
+    }
+
+
+# channels-last ConvMlp hidden maps of stage 1: nano at batch 32, S@448 at batch 1
+TAPELESS_SHAPES = [(32, 8, 8, 64), (1, 112, 112, 128)]
+TAPELESS_OPS = ["gelu", "silu", "batch_norm", "depthwise_conv2d"]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape", TAPELESS_SHAPES)
+@pytest.mark.parametrize("name", TAPELESS_OPS)
+def test_tapeless_forward_keeps_the_taped_bits(name, shape, dtype):
+    rng = np.random.default_rng(sum(shape))
+    op, params = forward_ops(rng, shape[-1], dtype)[name]
+    x = (rng.standard_normal(shape) * 3.0).astype(dtype)
+    before = [a.copy() for a in [x] + params]
+
+    y = op(Tensor(x, dtype=dtype)).data
+    with Tape():
+        taped = op(Tensor(x, requires_grad=True, dtype=dtype)).data
+
+    assert y.dtype == taped.dtype == dtype and y.shape == taped.shape
+    assert y.tobytes() == taped.tobytes()
+    for a, kept in zip([x] + params, before):
+        assert a.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("name,bound", [("gelu", 1.1), ("batch_norm", 1.1),
+                                        ("depthwise_conv2d", 2.2)])
+def test_tapeless_forward_holds_about_one_output(name, bound):
+    # gelu and eval batch_norm hold their output buffer alone; depthwise_conv2d
+    # adds the padded input copy and one row tile of tap products
+    shape = (1, 112, 112, 128)
+    rng = np.random.default_rng(0)
+    op, _ = forward_ops(rng, shape[-1], np.float32)[name]
+    x = Tensor(rng.standard_normal(shape).astype(np.float32))
+    tracemalloc.start()
+    try:
+        y = op(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * y.data.nbytes, peak / y.data.nbytes

@@ -11,7 +11,9 @@ checks run in float64). Broadcasting is deliberately narrow: scalar ops,
 channel bias adds and the spatial-map add broadcast, every other elementwise
 binary op requires exactly matching shapes and raises ShapeMismatch
 otherwise. The convolutions, batch norm and the map add take channels-last
-(B, H, W, C) maps; global_avg_pool takes (B, C, H, W).
+(B, H, W, C) maps; global_avg_pool takes (B, C, H, W). Their backward stays in
+that layout: per-channel gradient sums read the rows into a float64
+accumulator, and both convs scatter their input gradient tap by tap.
 
 With no active tape, gelu, silu and batch_norm write their output into their
 own scratch buffer; depthwise_conv2d, taped or not, accumulates its output a
@@ -433,8 +435,13 @@ def _pad_map(a: np.ndarray, padding: int) -> np.ndarray:
     return np.pad(a, ((0, 0), (padding, padding), (padding, padding), (0, 0))) if padding else a
 
 
-def _unpad_map(a: np.ndarray, padding: int) -> np.ndarray:
-    return np.ascontiguousarray(a[:, padding:a.shape[1] - padding, padding:a.shape[2] - padding])
+def _scatter_taps(xp_shape, dtype, stride: int, padding: int, slabs) -> np.ndarray:
+    """A conv's input gradient: each (i, j, slab), the gradient of what tap (i, j)
+    read, is added into a zeroed padded map in turn; then the padding is dropped."""
+    gxp = np.zeros(xp_shape, dtype=dtype)
+    for i, j, slab in slabs:
+        gxp[:, _taps(i, stride, slab.shape[1]), _taps(j, stride, slab.shape[2])] += slab
+    return np.ascontiguousarray(gxp[:, padding:xp_shape[1] - padding, padding:xp_shape[2] - padding])
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
@@ -470,11 +477,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
         gx = None
         if need_x:
             gcols = (g2 @ wmat).reshape(bsz, oh, ow, cin, kh, kw)
-            gxp = np.zeros(xp.shape, dtype=g.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, _taps(i, stride, oh), _taps(j, stride, ow)] += gcols[..., i, j]
-            gx = _unpad_map(gxp, padding)
+            gx = _scatter_taps(xp.shape, g.dtype, stride, padding,
+                               ((i, j, gcols[..., i, j]) for i in range(kh) for j in range(kw)))
         return (gx, gw, gb)
 
     record("conv2d", out, (x, w, b), vjp)
@@ -495,9 +499,9 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: i
         raise ShapeMismatch("depthwise_conv2d", f"bias shape {b.shape} must be ({c},)")
 
     xp = _pad_map(x.data, padding)
+    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
     y = np.zeros((bsz, oh, ow, c), dtype=xp.dtype)
-    taps = [(i, j, xp[:, _taps(i, stride, oh), _taps(j, stride, ow)])
-            for i in range(kh) for j in range(kw)]
+    taps = [(i, j, win[..., i, j]) for i in range(kh) for j in range(kw)]
     wk = np.ascontiguousarray(np.moveaxis(w.data[:, 0], 0, -1))    # (kh, kw, C)
     # _ROWS output rows at a time, so a tile's tap products stay in cache;
     # every element still sums its taps in the same order
@@ -515,16 +519,12 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: i
     def vjp(g):
         gw = None
         if need_w:
-            gw = np.zeros_like(w.data)
-            for i, j, v in taps:
-                gw[:, 0, i, j] = _channel_sum(g * v)
+            gw = np.einsum("bhwc,bhwcij->cij", g, win, dtype=np.float64).astype(w.dtype)[:, None]
         gb = _channel_sum(g) if need_b else None
         gx = None
         if need_x:
-            gxp = np.zeros(xp.shape, dtype=g.dtype)
-            for i, j, _ in taps:
-                gxp[:, _taps(i, stride, oh), _taps(j, stride, ow)] += w.data[:, 0, i, j] * g
-            gx = _unpad_map(gxp, padding)
+            gx = _scatter_taps(xp.shape, g.dtype, stride, padding,
+                               ((i, j, wk[i, j] * g) for i, j, _ in taps))
         return (gx, gw, gb)
 
     record("depthwise_conv2d", out, (x, w, b), vjp)
@@ -535,14 +535,10 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: i
 # normalization
 
 
-def _nchw(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(np.moveaxis(a, -1, 1))
-
-
 def _channel_sum(a: np.ndarray) -> np.ndarray:
-    """Per-channel sum of a channels-last map, taken over its (B, C, H, W) copy:
-    the NCHW summation order, so training keeps the bits of that layout."""
-    return _nchw(a).sum(axis=(0, 2, 3))
+    """Per-channel sum of a channels-last map over its rows, accumulated in
+    float64 and rounded once to the map's dtype."""
+    return a.reshape(-1, a.shape[-1]).sum(axis=0, dtype=np.float64).astype(a.dtype)
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
@@ -553,7 +549,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
     running_mean / running_var are plain arrays updated in place in training
     mode (unbiased variance for the running estimate, biased for the
     normalization itself). Eval mode normalizes with the running statistics.
-    The batch statistics and the gradient sums are taken in the NCHW order.
+    The batch statistics are taken in the NCHW order; the gamma and beta
+    gradients are float64 sums of the rows (_channel_sum).
     """
     if x.ndim != 4:
         raise ShapeMismatch("batch_norm", f"expected (B, H, W, C) input, got shape {x.shape}")
@@ -564,7 +561,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
 
     n = x.size // c
     if training:
-        xc = _nchw(x.data)
+        # NCHW summation order: the committed reference run pins these bits
+        xc = np.ascontiguousarray(np.moveaxis(x.data, -1, 1))
         mean = xc.mean(axis=(0, 2, 3))
         var = xc.var(axis=(0, 2, 3))
         unbiased = var * (n / (n - 1)) if n > 1 else var

@@ -85,6 +85,8 @@ def _cmd_scan_dump(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.trials is not None and args.trials < 1:
+        raise UsageError(f"vcmamba check: error: --trials must be at least 1, got {args.trials}")
     results = run_all(trials=args.trials)
     print("check,status,detail")
     failed = 0

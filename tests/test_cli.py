@@ -78,6 +78,13 @@ class TestCheck:
         assert len(body) == 14
         assert all(",PASS," in line for line in body)
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_is_a_usage_error(self, trials, capsys):
+        assert main(["check", "--trials", trials]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--trials must be at least 1" in captured.err
+
 
 class TestTrainEval:
     def test_end_to_end(self, tmp_path, capsys):

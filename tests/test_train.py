@@ -1,14 +1,21 @@
 """Optimizer and training loop tests.
 
 The training loop contracts under test: bitwise reproducibility for a fixed
-seed, zero learning rate changes nothing, divergence aborts while keeping
-the last finite-loss checkpoint on disk and closing the log with a diverged
-row, and the log's closing eval row is exactly what evaluate() reports.
+seed, under one or two BLAS threads alike, zero learning rate changes
+nothing, divergence aborts while keeping the last finite-loss checkpoint on
+disk and closing the log with a diverged row, and the log's closing eval row
+is exactly what evaluate() reports. A fresh run of the reference config
+reproduces the committed log's first rows within the benchmark's gate.
 """
 
 import csv
+import dataclasses
 import importlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +23,7 @@ import pytest
 import vcmamba.autodiff as ad
 from vcmamba.autodiff import Tape, Tensor, backward
 from vcmamba.checkpoint import load_checkpoint
-from vcmamba.config import TrainConfig
+from vcmamba.config import TrainConfig, load_train_config
 from vcmamba.data import ToyDataset
 from vcmamba.model import VCMamba, get_preset
 from vcmamba.optim import AdamW
@@ -25,6 +32,7 @@ from vcmamba.train import TrainingDiverged, evaluate, train
 F64 = np.float64
 # the package re-exports train(), which hides the module of the same name
 train_module = importlib.import_module("vcmamba.train")
+REFERENCE = Path(__file__).resolve().parents[1] / "reference"
 
 
 def small_cfg(tmp_path, **overrides):
@@ -297,3 +305,48 @@ class TestTrainLoop:
                         checkpoint_every=10)
         result = train(cfg)
         assert result.final_loss < result.first_loss
+
+
+class TestReferenceRun:
+    def test_fresh_run_matches_the_committed_log(self, tmp_path):
+        # the first 20 train rows of reference/train_nano.cfg against
+        # reference/train_log.csv, within the nano_train gate of
+        # bench/workloads.py (LOG_RTOL, LOG_ATOL, LOG_ACC_ATOL)
+        cfg = dataclasses.replace(load_train_config(str(REFERENCE / "train_nano.cfg")),
+                                  steps=20, checkpoint_path=str(tmp_path / "m.ckpt"),
+                                  log_path=str(tmp_path / "log.csv"))
+        train(cfg)
+        rows = read_log(cfg.log_path)[:20]
+        ref = read_log(str(REFERENCE / "train_log.csv"))[:20]
+        assert len(rows) == len(ref) == 20
+        for row, want in zip(rows, ref):
+            assert (row["step"], row["phase"]) == (want["step"], want["phase"])
+            for key in ("loss", "grad_norm"):
+                got, exp = float(row[key]), float(want[key])
+                assert abs(got - exp) <= 2e-5 + 2e-3 * abs(exp), (row, want)
+            assert abs(float(row["accuracy"]) - float(want["accuracy"])) <= 1 / 32 + 1e-6
+
+    def test_training_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        src = str(Path(train_module.__file__).resolve().parents[1])
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            out.mkdir()
+            (out / "t.cfg").write_text(f"""\
+[train]
+batch_size = 32
+steps = 5
+checkpoint_every = 5
+checkpoint = {out / "m.ckpt"}
+log = {out / "log.csv"}
+
+[data]
+n_samples = 512
+""")
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            subprocess.run([sys.executable, "-m", "vcmamba.cli", "train", "--config",
+                            str(out / "t.cfg")], env=env, check=True, capture_output=True,
+                           timeout=600)
+            runs.append(((out / "log.csv").read_bytes(), (out / "m.ckpt").read_bytes()))
+        assert runs[0] == runs[1]

@@ -15,10 +15,16 @@ otherwise. The convolutions, batch norm and the map add take channels-last
 that layout: per-channel gradient sums read the rows into a float64
 accumulator, and both convs scatter their input gradient tap by tap.
 
-With no active tape, gelu, silu and batch_norm write their output into their
-own scratch buffer; depthwise_conv2d, taped or not, accumulates its output a
-few rows at a time. Per element the float operations and their order are the
-taped route's, so both routes give the same bits.
+With no active tape, gelu and silu write their output into their own scratch
+buffer; batch_norm does so on either route, and depthwise_conv2d, taped or
+not, accumulates its output a few rows at a time. Per element the float
+operations and their order are the taped route's, so both routes give the
+same bits.
+
+A vjp keeps no array it can rebuild in one or two elementwise passes from an
+input the tape already holds: batch_norm's rebuilds xhat and depthwise_conv2d's
+re-pads its input, each from the input's data as it is at backward time, with
+the forward's exact operations.
 """
 
 from __future__ import annotations
@@ -488,7 +494,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
 def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
                      padding: int = 0) -> Tensor:
     """Per-channel cross-correlation of a channels-last (B, H, W, C) map, weight
-    (C, 1, kh, kw)."""
+    (C, 1, kh, kw). The vjp re-pads x.data, read at backward time, and takes
+    its sliding window again for the weight gradient."""
     oh, ow = _check_conv_args("depthwise_conv2d", x, w, stride, padding)
     bsz, _, _, c = x.shape
     wc, one, kh, kw = w.shape
@@ -501,14 +508,14 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: i
     xp = _pad_map(x.data, padding)
     win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
     y = np.zeros((bsz, oh, ow, c), dtype=xp.dtype)
-    taps = [(i, j, win[..., i, j]) for i in range(kh) for j in range(kw)]
     wk = np.ascontiguousarray(np.moveaxis(w.data[:, 0], 0, -1))    # (kh, kw, C)
     # _ROWS output rows at a time, so a tile's tap products stay in cache;
     # every element still sums its taps in the same order
     for r in range(0, oh, _ROWS):
         tile = y[:, r:r + _ROWS]
-        for i, j, v in taps:
-            tile += wk[i, j] * v[:, r:r + _ROWS]
+        for i in range(kh):
+            for j in range(kw):
+                tile += wk[i, j] * win[:, r:r + _ROWS, ..., i, j]
     if b is not None:
         y += b.data
     out = Tensor(y, dtype=y.dtype)
@@ -517,14 +524,16 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: i
     need_b = b is not None and b.requires_grad
 
     def vjp(g):
+        xp = _pad_map(x.data, padding)
         gw = None
         if need_w:
+            win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
             gw = np.einsum("bhwc,bhwcij->cij", g, win, dtype=np.float64).astype(w.dtype)[:, None]
         gb = _channel_sum(g) if need_b else None
         gx = None
         if need_x:
             gx = _scatter_taps(xp.shape, g.dtype, stride, padding,
-                               ((i, j, wk[i, j] * g) for i, j, _ in taps))
+                               ((i, j, wk[i, j] * g) for i in range(kh) for j in range(kw)))
         return (gx, gw, gb)
 
     record("depthwise_conv2d", out, (x, w, b), vjp)
@@ -550,7 +559,9 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
     mode (unbiased variance for the running estimate, biased for the
     normalization itself). Eval mode normalizes with the running statistics.
     The batch statistics are taken in the NCHW order; the gamma and beta
-    gradients are float64 sums of the rows (_channel_sum).
+    gradients are float64 sums of the rows (_channel_sum). The output is
+    written over xhat; the vjp rebuilds xhat from x.data, read at backward
+    time, and the mean and istd the forward normalized with.
     """
     if x.ndim != 4:
         raise ShapeMismatch("batch_norm", f"expected (B, H, W, C) input, got shape {x.shape}")
@@ -569,22 +580,29 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
         running_mean[...] = (1.0 - momentum) * running_mean + momentum * mean
         running_var[...] = (1.0 - momentum) * running_var + momentum * unbiased
     else:
-        mean = running_mean
+        mean = running_mean.copy()   # the vjp must see these statistics, not later updates
         var = running_var
 
     istd = 1.0 / np.sqrt(var + eps)
     xhat = x.data - mean
     xhat *= istd
-    # with no tape nothing reads xhat again, so the output overwrites it
-    y = np.multiply(gamma.data, xhat, out=xhat if active_tape() is None else None)
+    y = np.multiply(gamma.data, xhat, out=xhat)
     y += beta.data
     out = Tensor(y, dtype=x.dtype)
 
     def vjp(g):
+        xhat = x.data - mean     # the forward's xhat, rebuilt with its exact operations
+        xhat *= istd
         gb = _channel_sum(g)
         gg = _channel_sum(g * xhat)
         gs = gamma.data * istd
-        gx = gs * (g - gb / n - xhat * (gg / n)) if training else gs * g
+        if not training:
+            return (gs * g, gg, gb)
+        # gs * (g - gb / n - xhat * (gg / n)), its passes reusing two buffers
+        xhat *= gg / n
+        gx = g - gb / n
+        gx -= xhat
+        gx *= gs
         return (gx, gg, gb)
 
     record("batch_norm", out, (x, gamma, beta), vjp)

@@ -3,8 +3,8 @@
 bench/tracing.py patches package functions by name and reads the scan
 operands' layout to count scanned elements. A rename or a layout change in
 ``src/`` would break ``bench/run.py --trace 1`` without failing any kernel
-test; these trace a single Mamba mixer forward and a single eval ConvMlp
-forward instead.
+test; these trace a single Mamba mixer forward, a single eval ConvMlp
+forward and a single taped ConvMlp forward and backward instead.
 """
 
 import importlib.util
@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from vcmamba.autodiff import Tensor
+import vcmamba.autodiff as ad
+from vcmamba.autodiff import Tape, Tensor
 from vcmamba.blocks import MAMBA_EXPANSION, ConvMlp, MambaBranch
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -94,3 +95,30 @@ def test_tracer_times_the_conv_mlp_ops_and_restores_them():
     for op in ops:
         assert metrics[f"autodiff.fwd_s.{op}"] > 0, op
     assert metrics["blocks.fwd_s.ConvMlp"] > 0
+
+
+def test_tracer_times_the_conv_mlp_vjps_and_restores_them():
+    # the vjp spans are the per-layer view of what a backward rebuilds
+    mlp = ConvMlp(4).draw(np.random.default_rng(0))
+    x = Tensor(np.random.default_rng(1).normal(size=(2, 5, 5, 4)), requires_grad=True)
+    before = package_namespaces()
+
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        installed = changed(before, package_namespaces())
+        tracer.begin_op()
+        with Tape():
+            loss = ad.sum_all(mlp(x))
+        ad.backward(loss)
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+
+    assert {("vcmamba.autodiff", "record"), ("vcmamba.autodiff", "backward")} <= installed
+    assert not changed(before, package_namespaces())
+    assert x.grad is not None
+    metrics, _ = tracer.summary()
+    for op in ("batch_norm", "depthwise_conv2d"):
+        assert metrics[f"autodiff.vjp_s.{op}"] > 0, op
+    assert metrics["autodiff.tape_nodes"] > 0

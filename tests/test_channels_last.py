@@ -14,6 +14,12 @@ NCHW sums. They are checked per channel against an exactly summed oracle,
 within a rounding bound of the sum of the terms' magnitudes, and batch
 norm's input gradient, which uses them, within a few eps of the NCHW one.
 
+Batch norm's vjp rebuilds xhat from its input, and the depthwise vjp re-pads
+its input, instead of keeping either from the forward. One test checks that
+moving batch norm's running buffers between the forward and the backward
+leaves every gradient bit; another that a taped forward of either op holds
+about its output alone.
+
 With no tape active, GELU, SiLU and batch norm write their output into their
 own scratch buffer, and the depthwise forward runs in row tiles on either
 route. The tests at the end check that the tapeless route keeps the taped
@@ -133,14 +139,16 @@ def assert_channel_sums_close(got, a, b):
     assert (err <= bound).all(), float((err / bound).max())
 
 
-def run_op(op, x, params, g):
+def run_op(op, x, params, g, before_backward=lambda: None):
     """Forward op(x, *params) on a tape, seed the output gradient with g;
-    returns the output and the gradients of x and params."""
+    returns the output and the gradients of x and params. before_backward()
+    runs between the forward and the backward."""
     xt = Tensor(x, requires_grad=True, dtype=x.dtype)
     pt = [Tensor(p, requires_grad=True, dtype=p.dtype) for p in params]
     with Tape():
         y = op(xt, *pt)
         loss = ad.sum_all(ad.mul(y, Tensor(g, dtype=g.dtype)))
+    before_backward()
     ad.backward(loss)
     return y.data, xt.grad, [p.grad for p in pt]
 
@@ -242,6 +250,47 @@ def test_training_batch_norm_keeps_every_bit(shape, dtype):
     assert_channel_sums_close(gbeta, nhwc(g), np.ones_like(nhwc(g)))
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
+def test_batch_norm_vjp_ignores_later_buffer_updates(training, dtype):
+    # the vjp rebuilds xhat from x with the statistics the forward normalized
+    # with, so moving the running buffers before the backward (in place, or by
+    # another training forward of the same layer) leaves every gradient bit
+    shape, c = (4, 6, 5, 16), 16
+    rng = np.random.default_rng(13)
+    x = (rng.standard_normal(shape) * 2.0 + 0.5).astype(dtype)
+    gamma = rng.uniform(0.5, 1.5, c).astype(dtype)
+    beta = rng.standard_normal(c).astype(dtype)
+    mean0 = rng.standard_normal(c).astype(dtype)
+    var0 = rng.uniform(0.5, 2.0, c).astype(dtype)
+    g = rng.standard_normal(shape).astype(dtype)
+    other = (rng.standard_normal(shape) * 3.0 - 1.0).astype(dtype)
+
+    def grads(move_buffers):
+        mean, var = mean0.copy(), var0.copy()
+
+        def op(t, gt, bt):
+            return ad.batch_norm(t, gt, bt, mean, var, training=training)
+
+        def before_backward():
+            if not move_buffers:
+                return
+            if training:
+                gt, bt = Tensor(gamma, dtype=dtype), Tensor(beta, dtype=dtype)
+                with Tape():
+                    op(Tensor(other, requires_grad=True, dtype=dtype), gt, bt)
+            else:
+                mean[...] = 7.0
+                var[...] = 0.01
+            assert not np.array_equal(mean, mean0)
+
+        _, gx, (ggamma, gbeta) = run_op(op, x, [gamma, beta], g, before_backward)
+        return [gx, ggamma, gbeta]
+
+    for got, want in zip(grads(True), grads(False)):
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
 def forward_ops(rng, channels, dtype):
     """Name -> f(x Tensor) for the ops with a tapeless route, parameters drawn
     once; each also returns the arrays besides x that it must leave alone."""
@@ -302,3 +351,28 @@ def test_tapeless_forward_holds_about_one_output(name, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * y.data.nbytes, peak / y.data.nbytes
+
+
+@pytest.mark.parametrize("name", ["batch_norm", "depthwise_conv2d"])
+def test_taped_forward_holds_about_one_output(name):
+    # under a tape, training batch_norm and depthwise_conv2d keep no copy of
+    # their input's size: their vjp rebuilds xhat or the padded map from x
+    shape = (1, 112, 112, 128)
+    c = shape[-1]
+    rng = np.random.default_rng(0)
+    w = Tensor(rng.standard_normal((c, 1, 3, 3)), requires_grad=True)
+    gamma = Tensor(rng.uniform(0.5, 1.5, c), requires_grad=True)
+    beta = Tensor(rng.standard_normal(c), requires_grad=True)
+    mean, var = np.zeros(c, np.float32), np.ones(c, np.float32)
+    op = {"batch_norm": lambda t: ad.batch_norm(t, gamma, beta, mean, var, training=True),
+          "depthwise_conv2d": lambda t: ad.depthwise_conv2d(t, w, beta, padding=1)}[name]
+    x = Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            y = op(x)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(tape) == 1
+    assert current <= 1.1 * y.data.nbytes, current / y.data.nbytes

@@ -3,8 +3,8 @@
 A Tensor wraps a dense ndarray plus gradient metadata. Operations executed
 while a Tape is active append adjoint closures to that tape in execution
 order; backward(loss) replays the tape in reverse and accumulates gradients
-into every requires_grad tensor it reaches. A tape is single use: one forward
-pass, one backward pass, then build a fresh one.
+into every leaf it reaches, and into every recorded output still held. A tape
+is single use: one forward pass, one backward pass, then build a fresh one.
 
 Floating point policy: float32 by default, float64 on request (gradient
 checks run in float64). Broadcasting is deliberately narrow: scalar ops,
@@ -21,14 +21,22 @@ not, accumulates its output a few rows at a time. Per element the float
 operations and their order are the taped route's, so both routes give the
 same bits.
 
+The tape holds only what a vjp reads. A node keeps its gradient accumulator,
+its output's shape and a weak reference to the output, never the output's
+data, and links each input recorded on the same tape by its producer node;
+backward passes gradients from node to node and clears each node it replays.
+So an output no vjp closure captures dies with the forward: gelu, silu, relu
+and softplus take their slope when the node records and keep only that, and
+the batch_norm output feeding each GELU is freed once the GELU has run.
 A vjp keeps no array it can rebuild in one or two elementwise passes from an
-input the tape already holds: batch_norm's rebuilds xhat and depthwise_conv2d's
-re-pads its input, each from the input's data as it is at backward time, with
-the forward's exact operations.
+input it holds: batch_norm's rebuilds xhat and depthwise_conv2d's re-pads its
+input, each from the input's data as it is at backward time, with the
+forward's exact operations.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,7 +70,7 @@ class Tensor:
     high-precision mode used by gradient checking.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "name", "_tape")
+    __slots__ = ("data", "requires_grad", "grad", "name", "_tape", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None,
                  dtype=None):
@@ -72,6 +80,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.name = name
         self._tape: "Tape | None" = None
+        self._node: "_Node | None" = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -131,13 +140,21 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("out", "inputs", "vjp", "op")
+    """One recorded op. It holds no output data: its gradient accumulator,
+    the output's shape and a weak reference to the output Tensor, so one the
+    caller still holds gets its .grad. Each entry of inputs is the producer
+    _Node of an input recorded on the same tape, else the input Tensor itself
+    (a leaf), or None where no gradient is wanted."""
+
+    __slots__ = ("op", "out", "shape", "inputs", "vjp", "grad")
 
     def __init__(self, op: str, out: Tensor, inputs: tuple, vjp: Callable):
         self.op = op
-        self.out = out
+        self.out = weakref.ref(out)
+        self.shape = out.shape
         self.inputs = inputs
         self.vjp = vjp
+        self.grad: np.ndarray | None = None
 
 
 class Tape:
@@ -179,8 +196,9 @@ def record(op: str, out: Tensor, inputs: Sequence[Tensor | None],
 
     No-op when no tape is active or when no input requires a gradient. vjp
     receives the output gradient and must return one array (or None) per
-    input, in order. Exposed so fused kernels outside this module can record
-    themselves.
+    input, in order. The node holds vjp and the inputs' producer nodes, not
+    out's data, so vjp should capture only the arrays it reads. Exposed so
+    fused kernels outside this module can record themselves.
     """
     tape = active_tape()
     if tape is None:
@@ -189,19 +207,24 @@ def record(op: str, out: Tensor, inputs: Sequence[Tensor | None],
         raise AutodiffError("tape already consumed; build a fresh Tape for a new forward pass")
     if not any(t is not None and t.requires_grad for t in inputs):
         return
+    links = tuple(None if t is None or not t.requires_grad else
+                  t._node if t._tape is tape else t for t in inputs)
     out.requires_grad = True
     out._tape = tape
-    tape._nodes.append(_Node(op, out, tuple(inputs), vjp))
+    out._node = _Node(op, out, links, vjp)
+    tape._nodes.append(out._node)
 
 
 def backward(loss: Tensor) -> None:
     """Run reverse-mode accumulation from a scalar loss.
 
-    Walks the recording tape once in reverse. Every requires_grad tensor the
-    sweep reaches ends up with a populated .grad (accumulated, so zero grads
-    between optimizer steps). Calling backward twice on the same tape is an
-    error. Replay pops each node, so the step's graph, a reference cycle
-    through Tensor._tape while recorded, is freed by reference counting.
+    Walks the recording tape once in reverse, passing each gradient from a
+    node to the nodes that produced its inputs. Leaf tensors, and every
+    recorded output the caller still holds, end up with a populated .grad
+    (accumulated, so zero grads between optimizer steps). Calling backward
+    twice on the same tape is an error. Replay pops each node and clears its
+    vjp, inputs and gradient, so nothing the step recorded outlives the
+    backward, even while the caller keeps loss or logits.
     """
     tape = loss._tape
     if tape is None:
@@ -213,23 +236,23 @@ def backward(loss: Tensor) -> None:
         raise AutodiffError(f"backward needs a scalar loss, got shape {loss.shape}")
     tape._consumed = True
 
-    loss.grad = np.ones_like(loss.data)
+    loss._node.grad = np.ones_like(loss.data)
     while tape._nodes:
         node = tape._nodes.pop()
-        g = node.out.grad
+        g, vjp, inputs = node.grad, node.vjp, node.inputs
+        node.grad = node.vjp = node.inputs = None
         if g is None:
             continue
-        grads = node.vjp(g)
-        for t, gt in zip(node.inputs, grads):
-            if t is None or gt is None or not t.requires_grad:
+        out = node.out()
+        if out is not None:
+            out.grad = g if out.grad is None else out.grad + g
+        for t, gt in zip(inputs, vjp(g)):
+            if t is None or gt is None:
                 continue
-            if gt.shape != t.data.shape:
+            if gt.shape != t.shape:
                 raise AutodiffError(f"{node.op}: vjp produced shape {gt.shape} for input "
-                                    f"of shape {t.data.shape}")
-            if t.grad is None:
-                t.grad = gt
-            else:
-                t.grad = t.grad + gt
+                                    f"of shape {t.shape}")
+            t.grad = gt if t.grad is None else t.grad + gt
 
 
 def _same_shape(op: str, a: Tensor, b: Tensor) -> None:
@@ -278,17 +301,17 @@ def add_scalar(a: Tensor, s: float) -> Tensor:
 
 def sum_all(a: Tensor) -> Tensor:
     out = Tensor(a.data.sum(), dtype=a.dtype)
-    shape = a.shape
-    record("sum_all", out, (a,), lambda g: (np.broadcast_to(g, shape).astype(a.dtype, copy=True),))
+    shape, dtype = a.shape, a.dtype
+    record("sum_all", out, (a,), lambda g: (np.broadcast_to(g, shape).astype(dtype, copy=True),))
     return out
 
 
 def mean_all(a: Tensor) -> Tensor:
     n = a.data.size
     out = Tensor(a.data.mean(), dtype=a.dtype)
-    shape = a.shape
+    shape, dtype = a.shape, a.dtype
     record("mean_all", out, (a,),
-           lambda g: (np.broadcast_to(g / n, shape).astype(a.dtype, copy=True),))
+           lambda g: (np.broadcast_to(g / n, shape).astype(dtype, copy=True),))
     return out
 
 
@@ -343,9 +366,13 @@ def take_last(a: Tensor, idx: np.ndarray) -> Tensor:
 
 
 def _pointwise(op: str, a: Tensor, y: np.ndarray, slope: Callable[[], np.ndarray]) -> Tensor:
-    """Elementwise op output y; slope() (dy/da) runs only when a tape replays the node."""
+    """Elementwise op output y. slope() (dy/da) runs when the node records,
+    only while a tape is active and a requires a gradient; the vjp keeps the
+    slope alone, so a's data can die with the forward."""
     out = Tensor(y, dtype=a.dtype)
-    record(op, out, (a,), lambda g: (g * slope(),))
+    if a.requires_grad and active_tape() is not None:
+        s = slope()
+        record(op, out, (a,), lambda g: (g * s,))
     return out
 
 
@@ -354,7 +381,7 @@ def relu(a: Tensor) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Exact (erf) form: x * Phi(x)."""
+    """Exact (erf) form: x * Phi(x). The slope is built in the cdf buffer."""
     x = a.data
     cdf = np.multiply(x, _INV_SQRT2)
     erf(cdf, out=cdf)
@@ -363,7 +390,7 @@ def gelu(a: Tensor) -> Tensor:
     if active_tape() is None:
         return Tensor(np.multiply(x, cdf, out=cdf), dtype=a.dtype)
     return _pointwise("gelu", a, x * cdf,
-                      lambda: cdf + x * (np.exp(-0.5 * x * x) * _INV_SQRT_2PI))
+                      lambda: np.add(cdf, x * (np.exp(-0.5 * x * x) * _INV_SQRT_2PI), out=cdf))
 
 
 def silu(a: Tensor) -> Tensor:
@@ -473,6 +500,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
         y += b.data
     out = Tensor(y.reshape(bsz, oh, ow, cout), dtype=y.dtype)
 
+    xp_shape = xp.shape
     need_x, need_w = x.requires_grad, w.requires_grad
     need_b = b is not None and b.requires_grad
 
@@ -483,7 +511,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
         gx = None
         if need_x:
             gcols = (g2 @ wmat).reshape(bsz, oh, ow, cin, kh, kw)
-            gx = _scatter_taps(xp.shape, g.dtype, stride, padding,
+            gx = _scatter_taps(xp_shape, g.dtype, stride, padding,
                                ((i, j, gcols[..., i, j]) for i in range(kh) for j in range(kw)))
         return (gx, gw, gb)
 

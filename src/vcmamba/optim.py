@@ -29,6 +29,9 @@ class AdamW:
         self.step_count = 0
         self._m = [np.zeros_like(p.data) for _, p in self.params]
         self._v = [np.zeros_like(p.data) for _, p in self.params]
+        # two scratch buffers per dtype, shared by all parameters in step()
+        n = max(p.size for _, p in self.params)
+        self._scratch = {p.dtype: np.empty((2, n), p.dtype) for _, p in self.params}
 
     def zero_grad(self) -> None:
         for _, p in self.params:
@@ -38,7 +41,8 @@ class AdamW:
         total = 0.0
         for _, p in self.params:
             if p.grad is not None:
-                total += float((p.grad.astype(np.float64) ** 2).sum())
+                sq = p.grad.astype(np.float64)
+                total += float(np.square(sq, out=sq).sum())
         return float(np.sqrt(total))
 
     def step(self) -> None:
@@ -49,10 +53,19 @@ class AdamW:
             g = p.grad
             if g is None:
                 continue
+            # temporaries go to the scratch buffers; the trailing comments
+            # give each value's grouping
+            s, t = (b.reshape(p.shape) for b in self._scratch[p.dtype][:, :p.size])
             if p.ndim >= 2 and self.weight_decay:
-                p.data -= self.lr * self.weight_decay * p.data
+                p.data -= np.multiply(p.data, self.lr * self.weight_decay, out=s)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=s)            # (1 - beta1) * g
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            np.multiply(g, g, out=s)
+            v += np.multiply(s, 1.0 - self.beta2, out=s)            # (1 - beta2) * (g * g)
+            np.divide(m, bc1, out=s)
+            s *= self.lr                                            # lr * (m / bc1)
+            np.divide(v, bc2, out=t)
+            np.sqrt(t, out=t)
+            t += self.eps                                           # sqrt(v / bc2) + eps
+            p.data -= np.divide(s, t, out=s)

@@ -179,6 +179,51 @@ class TestTapeMechanics:
         np.testing.assert_array_equal(gw1, gw2)
 
 
+class TestGradientRouting:
+    """Gradients pass from node to node; a node keeps no output data."""
+
+    def test_fan_out_accumulates_both_contributions(self):
+        a, c = t64([1.0, -2.0, 3.0]), t64([0.5, 4.0, -1.0], requires_grad=False)
+        with Tape():
+            h = ad.mul(a, c)                                  # an intermediate used twice
+            y = ad.sum_all(ad.add(ad.mul(h, h), ad.scale(h, 3.0)))
+        backward(y)
+        np.testing.assert_allclose(a.grad, (2 * a.data * c.data + 3.0) * c.data)
+
+    def test_residual_accumulates_both_contributions(self):
+        a = t64([0.5, -1.5, 2.0])
+        with Tape():
+            h = ad.scale(a, 2.0)
+            y = ad.sum_all(ad.add(h, ad.relu(h)))             # h + relu(h)
+        backward(y)
+        np.testing.assert_allclose(a.grad, 2.0 * (1.0 + (a.data > 0)))
+
+    def test_held_intermediate_gets_the_gradient_that_reached_it(self):
+        a = t64([1.0, -2.0, 3.0])
+        with Tape():
+            h = ad.scale(a, 3.0)
+            y = ad.sum_all(ad.add(ad.mul(h, h), h))
+        backward(y)
+        np.testing.assert_allclose(h.grad, 2 * h.data + 1.0)
+        np.testing.assert_allclose(a.grad, 3.0 * h.grad)
+        assert y.grad is not None and y.grad.shape == y.shape
+
+    def test_output_of_a_consumed_tape_is_a_leaf_on_a_new_tape(self):
+        a, c = t64([1.0, -2.0]), t64([5.0, 7.0], requires_grad=False)
+        with Tape():
+            h = ad.mul(a, a)
+            y = ad.sum_all(h)
+        backward(y)
+        np.testing.assert_allclose(h.grad, [1.0, 1.0])
+        a_grad = a.grad.copy()
+        with Tape() as tape:
+            z = ad.sum_all(ad.mul(h, c))
+        assert len(tape) == 2
+        backward(z)
+        np.testing.assert_allclose(h.grad, 1.0 + c.data)      # accumulated as a leaf's
+        np.testing.assert_array_equal(a.grad, a_grad)         # nothing flows past h
+
+
 # ---------------------------------------------------------------------------
 # elementwise and shape ops
 
@@ -291,7 +336,7 @@ class TestActivations:
             y = op(x)
             return ad.sum_all(ad.mul(y, y))
 
-        assert_grads_ok(f, [x])             # inside a tape the vjp computes it
+        assert_grads_ok(f, [x])             # a taped node computes it as it records
 
 
 # ---------------------------------------------------------------------------

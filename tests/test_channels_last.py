@@ -35,6 +35,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import vcmamba.autodiff as ad
 from vcmamba.autodiff import Tape, Tensor
+from vcmamba.blocks import ConvMlp
 
 
 def nhwc(a):
@@ -376,3 +377,22 @@ def test_taped_forward_holds_about_one_output(name):
         tracemalloc.stop()
     assert len(tape) == 1
     assert current <= 1.1 * y.data.nbytes, current / y.data.nbytes
+
+
+def test_taped_conv_mlp_holds_what_its_vjps_read():
+    # per hidden map: the expand output (norm1 reads it), two GELU slopes, the
+    # depthwise input and output and the project input; no node keeps its
+    # output, so each BN output dies with the GELU it feeds
+    shape = (1, 56, 56, 32)
+    mlp = ConvMlp(shape[-1]).draw(np.random.default_rng(0))
+    x = Tensor(np.random.default_rng(1).standard_normal(shape).astype(np.float32))
+    hidden_bytes = np.prod(shape[:-1]) * mlp.expand.weight.shape[0] * 4
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            mlp(x)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(tape) == 7
+    assert current <= 6.5 * hidden_bytes, current / hidden_bytes

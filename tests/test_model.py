@@ -8,6 +8,7 @@ counters cannot be graded against themselves.
 import dataclasses
 import gc
 import hashlib
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -265,8 +266,9 @@ class TestModuleTo:
 
 class TestStepGraphLifetime:
     def test_backward_frees_the_tape_without_the_cycle_collector(self, rng):
-        # a recorded graph is a Tensor._tape -> Tape -> node.out cycle;
-        # backward must break it so a step's graph dies by reference counting
+        # a recorded graph is a cycle (Tensor._tape -> Tape._nodes -> a vjp
+        # closure -> its input Tensor); backward must break it so a step's
+        # graph dies by reference counting
         model = VCMamba(GRADFLOW, seed=0)
         x = Tensor(rng.normal(size=(1, 3, 64, 64)).astype(np.float32))
         gc.disable()
@@ -280,6 +282,26 @@ class TestStepGraphLifetime:
         finally:
             gc.enable()
         assert all(p.grad is not None for _, p in model.named_parameters())
+
+    def test_held_loss_and_logits_pin_no_graph(self, rng):
+        # train() keeps loss and logits until the next step; through their
+        # nodes they must not keep the step's vjps, inputs or node gradients
+        model = VCMamba(GRADFLOW, seed=0)
+        x = Tensor(rng.normal(size=(2, 3, 64, 64)).astype(np.float32))
+        grad_bytes = sum(p.data.nbytes for _, p in model.named_parameters())
+        gc.disable()
+        tracemalloc.start()
+        try:
+            with ad.Tape():
+                logits = model(x)
+                loss = ad.softmax_cross_entropy(logits, np.array([3, 7]))
+            ad.backward(loss)
+            current = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert logits.grad is not None and loss.grad is not None
+        assert current <= 1.5 * grad_bytes, current / grad_bytes
 
 
 class TestInitBehavior:

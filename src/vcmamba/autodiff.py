@@ -15,11 +15,12 @@ otherwise. The convolutions, batch norm and the map add take channels-last
 that layout: per-channel gradient sums read the rows into a float64
 accumulator, and both convs scatter their input gradient tap by tap.
 
-With no active tape, gelu and silu write their output into their own scratch
-buffer; batch_norm does so on either route, and depthwise_conv2d, taped or
-not, accumulates its output a few rows at a time. Per element the float
-operations and their order are the taped route's, so both routes give the
-same bits.
+The tape decides, the ops compute. recording(*inputs) alone says whether an
+op records: a tape is active and some input requires a gradient. An op builds
+its output one way on every route, so a tape never changes an output's bits:
+gelu and silu write it over their own scratch buffer, batch_norm over its
+xhat, and depthwise_conv2d accumulates it a few rows at a time. Every vjp
+returns a gradient for each input; backward drops those no link wants.
 
 The tape holds only what a vjp reads. A node keeps its gradient accumulator,
 its output's shape and a weak reference to the output, never the output's
@@ -186,27 +187,30 @@ class Tape:
 _TAPE_STACK: list[Tape] = []
 
 
-def active_tape() -> Tape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+def recording(*inputs: Tensor | None) -> bool:
+    """True when a tape is active and some input requires a gradient: whether
+    an op on these inputs records. An op asks before it computes what only its
+    vjp reads. Raises AutodiffError on a consumed tape, whatever the inputs."""
+    if not _TAPE_STACK:
+        return False
+    if _TAPE_STACK[-1]._consumed:
+        raise AutodiffError("tape already consumed; build a fresh Tape for a new forward pass")
+    return any(t is not None and t.requires_grad for t in inputs)
 
 
 def record(op: str, out: Tensor, inputs: Sequence[Tensor | None],
            vjp: Callable[[np.ndarray], tuple]) -> None:
-    """Append one op to the active tape.
+    """Append one op to the active tape when recording(*inputs), else nothing.
 
-    No-op when no tape is active or when no input requires a gradient. vjp
-    receives the output gradient and must return one array (or None) per
-    input, in order. The node holds vjp and the inputs' producer nodes, not
-    out's data, so vjp should capture only the arrays it reads. Exposed so
-    fused kernels outside this module can record themselves.
+    vjp receives the output gradient and returns one array (or None) per
+    input, in order; backward drops the gradient of an input that needs none.
+    The node holds vjp and the inputs' producer nodes, not out's data, so vjp
+    should capture only the arrays it reads. Exposed so fused kernels outside
+    this module can record themselves.
     """
-    tape = active_tape()
-    if tape is None:
+    if not recording(*inputs):
         return
-    if tape._consumed:
-        raise AutodiffError("tape already consumed; build a fresh Tape for a new forward pass")
-    if not any(t is not None and t.requires_grad for t in inputs):
-        return
+    tape = _TAPE_STACK[-1]
     links = tuple(None if t is None or not t.requires_grad else
                   t._node if t._tape is tape else t for t in inputs)
     out.requires_grad = True
@@ -365,46 +369,46 @@ def take_last(a: Tensor, idx: np.ndarray) -> Tensor:
 # activations
 
 
-def _pointwise(op: str, a: Tensor, y: np.ndarray, slope: Callable[[], np.ndarray]) -> Tensor:
-    """Elementwise op output y. slope() (dy/da) runs when the node records,
-    only while a tape is active and a requires a gradient; the vjp keeps the
-    slope alone, so a's data can die with the forward."""
-    out = Tensor(y, dtype=a.dtype)
-    if a.requires_grad and active_tape() is not None:
-        s = slope()
+def _pointwise(op: str, a: Tensor, y: Callable[[], np.ndarray],
+               slope: Callable[[], np.ndarray]) -> Tensor:
+    """Elementwise op. slope() (dy/da) runs first, and only when recording(a);
+    then y() builds the output, the same way on every route, and may write
+    over a buffer slope() read. The vjp keeps the slope alone, so a's data
+    can die with the forward."""
+    s = slope() if recording(a) else None
+    out = Tensor(y(), dtype=a.dtype)
+    if s is not None:
         record(op, out, (a,), lambda g: (g * s,))
     return out
 
 
 def relu(a: Tensor) -> Tensor:
-    return _pointwise("relu", a, np.maximum(a.data, 0), lambda: a.data > 0)  # 0 at the kink
+    return _pointwise("relu", a, lambda: np.maximum(a.data, 0), lambda: a.data > 0)  # 0 at the kink
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Exact (erf) form: x * Phi(x). The slope is built in the cdf buffer."""
+    """Exact (erf) form: x * Phi(x), written over the cdf buffer."""
     x = a.data
     cdf = np.multiply(x, _INV_SQRT2)
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    if active_tape() is None:
-        return Tensor(np.multiply(x, cdf, out=cdf), dtype=a.dtype)
-    return _pointwise("gelu", a, x * cdf,
-                      lambda: np.add(cdf, x * (np.exp(-0.5 * x * x) * _INV_SQRT_2PI), out=cdf))
+    return _pointwise("gelu", a, lambda: np.multiply(x, cdf, out=cdf),
+                      lambda: cdf + x * (np.exp(-0.5 * x * x) * _INV_SQRT_2PI))
 
 
 def silu(a: Tensor) -> Tensor:
+    """x * sigmoid(x), written over the sigmoid buffer."""
     x = a.data
     sig = expit(x)
-    if active_tape() is None:
-        return Tensor(np.multiply(x, sig, out=sig), dtype=a.dtype)
-    return _pointwise("silu", a, x * sig, lambda: sig * (1.0 + x * (1.0 - sig)))
+    return _pointwise("silu", a, lambda: np.multiply(x, sig, out=sig),
+                      lambda: sig * (1.0 + x * (1.0 - sig)))
 
 
 def softplus(a: Tensor) -> Tensor:
     """log(1 + exp(x)), computed stably; exactly +0 for x <= about -104 in
     float32 (about -745 in float64)."""
-    return _pointwise("softplus", a, np.logaddexp(0.0, a.data), lambda: expit(a.data))
+    return _pointwise("softplus", a, lambda: np.logaddexp(0.0, a.data), lambda: expit(a.data))
 
 
 # ---------------------------------------------------------------------------
@@ -427,15 +431,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         y2 = y2 + b.data
     out = Tensor(y2.reshape(lead + (w.shape[0],)), dtype=y2.dtype)
 
-    need_x, need_w = x.requires_grad, w.requires_grad
-    need_b = b is not None and b.requires_grad
-
     def vjp(g):
         g2 = g.reshape(-1, g.shape[-1])
-        gx = (g2 @ w.data).reshape(x.shape) if need_x else None
-        gw = g2.T @ x2 if need_w else None
-        gb = g2.sum(axis=0) if need_b else None
-        return (gx, gw, gb)
+        return ((g2 @ w.data).reshape(x.shape), g2.T @ x2,
+                None if b is None else g2.sum(axis=0))
 
     record("linear", out, (x, w, b), vjp)
     return out
@@ -501,13 +500,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
     out = Tensor(y.reshape(bsz, oh, ow, cout), dtype=y.dtype)
 
     xp_shape = xp.shape
-    need_x, need_w = x.requires_grad, w.requires_grad
-    need_b = b is not None and b.requires_grad
+    # the stem's images are the one input in the program that needs no
+    # gradient; their gemm and scatter would be a full-resolution waste a step
+    need_x = x.requires_grad
 
     def vjp(g):
         g2 = g.reshape(-1, cout)
-        gw = (g2.T @ cols).reshape(w.shape) if need_w else None
-        gb = g2.sum(axis=0) if need_b else None
+        gw = (g2.T @ cols).reshape(w.shape)
+        gb = None if b is None else g2.sum(axis=0)
         gx = None
         if need_x:
             gcols = (g2 @ wmat).reshape(bsz, oh, ow, cin, kh, kw)
@@ -548,20 +548,13 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: i
         y += b.data
     out = Tensor(y, dtype=y.dtype)
 
-    need_x, need_w = x.requires_grad, w.requires_grad
-    need_b = b is not None and b.requires_grad
-
     def vjp(g):
         xp = _pad_map(x.data, padding)
-        gw = None
-        if need_w:
-            win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-            gw = np.einsum("bhwc,bhwcij->cij", g, win, dtype=np.float64).astype(w.dtype)[:, None]
-        gb = _channel_sum(g) if need_b else None
-        gx = None
-        if need_x:
-            gx = _scatter_taps(xp.shape, g.dtype, stride, padding,
-                               ((i, j, wk[i, j] * g) for i in range(kh) for j in range(kw)))
+        win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+        gw = np.einsum("bhwc,bhwcij->cij", g, win, dtype=np.float64).astype(w.dtype)[:, None]
+        gb = None if b is None else _channel_sum(g)
+        gx = _scatter_taps(xp.shape, g.dtype, stride, padding,
+                           ((i, j, wk[i, j] * g) for i in range(kh) for j in range(kw)))
         return (gx, gw, gb)
 
     record("depthwise_conv2d", out, (x, w, b), vjp)
@@ -649,19 +642,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, *, eps: float = 1e-5) -> 
     xhat = (x.data - mean) * istd
     out = Tensor(gamma.data * xhat + beta.data, dtype=x.dtype)
 
-    need_x, need_g, need_b = x.requires_grad, gamma.requires_grad, beta.requires_grad
     lead = tuple(range(x.ndim - 1))
 
     def vjp(g):
-        gg = (g * xhat).sum(axis=lead) if need_g else None
-        gb = g.sum(axis=lead) if need_b else None
-        gx = None
-        if need_x:
-            gh = g * gamma.data
-            ghsum = gh.sum(axis=-1, keepdims=True)
-            ghx = (gh * xhat).sum(axis=-1, keepdims=True)
-            gx = istd * (gh - ghsum / d - xhat * (ghx / d))
-        return (gx, gg, gb)
+        gh = g * gamma.data
+        ghsum = gh.sum(axis=-1, keepdims=True)
+        ghx = (gh * xhat).sum(axis=-1, keepdims=True)
+        gx = istd * (gh - ghsum / d - xhat * (ghx / d))
+        return (gx, (g * xhat).sum(axis=lead), g.sum(axis=lead))
 
     record("layer_norm", out, (x, gamma, beta), vjp)
     return out
@@ -689,10 +677,10 @@ def global_avg_pool(x: Tensor) -> Tensor:
     """(B, C, H, W) -> (B, C), mean over the spatial axes."""
     if x.ndim != 4:
         raise ShapeMismatch("global_avg_pool", f"expected NCHW input, got shape {x.shape}")
-    bsz, c, h, w = x.shape
+    _, _, h, w = shape = x.shape
     out = Tensor(x.data.mean(axis=(2, 3)), dtype=x.dtype)
     record("global_avg_pool", out, (x,),
-           lambda g: (np.broadcast_to(g[:, :, None, None] / (h * w), x.shape).astype(g.dtype, copy=True),))
+           lambda g: (np.broadcast_to(g[:, :, None, None] / (h * w), shape).astype(g.dtype, copy=True),))
     return out
 
 

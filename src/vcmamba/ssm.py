@@ -199,7 +199,7 @@ def _pair_scan_doubling(abar: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _check_scan_operands(op: str, inputs: ScanInputs, params: SsmParams,
-                         need_dirs: bool) -> None:
+                         with_directions: bool) -> None:
     x, delta, b_seq, c_seq = inputs.x, inputs.delta, inputs.b_seq, inputs.c_seq
     if x.ndim != 3:
         raise ShapeMismatch(op, f"x must be (B, D, L), got {x.shape}")
@@ -213,7 +213,7 @@ def _check_scan_operands(op: str, inputs: ScanInputs, params: SsmParams,
                                 f"{b_seq.shape} and {c_seq.shape}")
     if np.any(delta.data < 0):
         raise ValueError(f"{op}: delta must be non-negative")
-    if need_dirs:
+    if with_directions:
         dirs = inputs.dirs
         if dirs is None:
             raise ValueError(f"{op}: direction codes are required")
@@ -233,7 +233,7 @@ def _selective_scan(op: str, inputs: ScanInputs, params: SsmParams, *,
     """Shared kernel body: y = C h + skip_gain * x with h_i = abar_i h_{i-1}
     + delta_i (b_i [+ table[dirs_i]]) x_i as one fused tape node, its states
     run by _chunk_states or, with parallel, by the doubling oracle."""
-    _check_scan_operands(op, inputs, params, need_dirs=with_directions)
+    _check_scan_operands(op, inputs, params, with_directions)
     x, delta, b_seq, c_seq = inputs.x, inputs.delta, inputs.b_seq, inputs.c_seq
     a_log, skip, table = params.a_log, params.skip_gain, params.direction_table
     bad = ~np.isfinite(delta.data).all(axis=1)                      # (B, L)
@@ -250,7 +250,7 @@ def _selective_scan(op: str, inputs: ScanInputs, params: SsmParams, *,
     a_t = np.ascontiguousarray(-np.exp(a_log.data.T))               # A^T, (N, D)
 
     # the state entering each chunk, kept for the backward while a tape records
-    keep = ad.active_tape() is not None
+    keep = ad.recording(x, delta, b_seq, c_seq, a_log, skip, table)
     entry = [0.0]
     # numpy warnings are redundant here: the explicit check below raises a
     # typed error naming the first bad token
@@ -279,14 +279,16 @@ def _selective_scan(op: str, inputs: ScanInputs, params: SsmParams, *,
         raise _first_bad(bad)
 
     out = Tensor(np.moveaxis(y, 0, -1), dtype=y.dtype)
+    shape, dtype = y.shape, y.dtype     # (L, B, D): the vjp keeps these, not y
 
     def vjp(gy):
         gy = np.ascontiguousarray(np.moveaxis(gy, -1, 0))           # (L, B, D)
-        gx, gdelta, gb, gc = (np.empty_like(v) for v in (y, y, beff, ct))
+        gx, gdelta = np.empty(shape, dtype), np.empty(shape, dtype)
+        gb, gc = np.empty_like(beff), np.empty_like(ct)
         gdta_dt = np.zeros_like(a_t)          # sum over tokens and rows of gdta * delta
-        buf = np.empty((2, min(CHUNK, len(y)), y.shape[1]) + a_t.shape, y.dtype)
+        buf = np.empty((2, min(CHUNK, len(gy)), shape[1]) + a_t.shape, dtype)
         carry = 0.0        # abar_{i+1} gh_{i+1}, formed before the buffers take the next chunk
-        for start in reversed(range(0, len(y), CHUNK)):
+        for start in reversed(range(0, len(gy), CHUNK)):
             chunk = slice(start, start + CHUNK)
             h_in = entry[start // CHUNK]
             abar, h = _chunk_states(dt[chunk], a_t, beff[chunk], xt[chunk], h_in, buf)

@@ -131,6 +131,28 @@ class TestTapeMechanics:
             with pytest.raises(AutodiffError, match="consumed"):
                 ad.sum_all(a)
 
+    def test_recording_needs_a_tape_and_an_input_that_wants_a_gradient(self):
+        a, c = t64([1.0]), t64([2.0], requires_grad=False)
+        assert not ad.recording(a)
+        with Tape():
+            assert not ad.recording(c, None)
+            assert not ad.recording()
+            assert ad.recording(c, None, a)
+
+    def test_recording_on_consumed_tape_raises_like_record(self):
+        a, c = t64([1.0, 2.0]), t64([3.0, 4.0], requires_grad=False)
+        with Tape():
+            backward(ad.sum_all(a))
+            with pytest.raises(AutodiffError) as from_record:
+                ad.sum_all(a)
+            for args in [(a,), (c,), ()]:     # even with no input that wants a gradient
+                with pytest.raises(AutodiffError) as err:
+                    ad.recording(*args)
+                assert str(err.value) == str(from_record.value)
+            for op in (ad.relu, ad.gelu, ad.silu, ad.softplus):
+                with pytest.raises(AutodiffError, match="consumed"):
+                    op(c)
+
     def test_nonscalar_loss_raises(self):
         a = t64([1.0, 2.0])
         with Tape():
@@ -222,6 +244,35 @@ class TestGradientRouting:
         backward(z)
         np.testing.assert_allclose(h.grad, 1.0 + c.data)      # accumulated as a leaf's
         np.testing.assert_array_equal(a.grad, a_grad)         # nothing flows past h
+
+    @pytest.mark.parametrize("op", ["linear", "conv2d", "depthwise_conv2d", "layer_norm"])
+    def test_an_input_without_grad_gets_none_and_the_rest_keep_their_bits(self, rng, op):
+        # every vjp computes all of its gradients; backward drops the one no link wants
+        shapes, f = {
+            "linear": ([(2, 3, 5), (4, 5), (4,)], ad.linear),
+            "conv2d": ([(2, 5, 5, 3), (4, 3, 3, 3), (4,)],
+                       lambda x, w, b: ad.conv2d(x, w, b, stride=2, padding=1)),
+            "depthwise_conv2d": ([(2, 5, 5, 3), (3, 1, 3, 3), (3,)],
+                                 lambda x, w, b: ad.depthwise_conv2d(x, w, b, padding=1)),
+            "layer_norm": ([(2, 3, 5), (5,), (5,)], ad.layer_norm),
+        }[op]
+        data = [rng.normal(size=shape).astype(np.float32) for shape in shapes]
+
+        def grads(frozen):
+            ins = [Tensor(d, requires_grad=i != frozen) for i, d in enumerate(data)]
+            with Tape():
+                y = f(*ins)
+                loss = ad.sum_all(ad.mul(y, Tensor(np.cos(np.arange(y.size)).reshape(y.shape))))
+            backward(loss)
+            return [t.grad for t in ins]
+
+        full = grads(None)
+        for frozen in range(len(data)):
+            got = grads(frozen)
+            assert got[frozen] is None
+            for i, (g, want) in enumerate(zip(got, full)):
+                if i != frozen:
+                    assert g.dtype == want.dtype and g.tobytes() == want.tobytes(), (frozen, i)
 
 
 # ---------------------------------------------------------------------------

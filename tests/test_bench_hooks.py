@@ -4,7 +4,7 @@ bench/tracing.py patches package functions by name and reads the scan
 operands' layout to count scanned elements. A rename or a layout change in
 ``src/`` would break ``bench/run.py --trace 1`` without failing any kernel
 test; these trace a single Mamba mixer forward, a single eval ConvMlp
-forward and a single taped ConvMlp forward and backward instead.
+forward and a taped ConvMlp and Mamba mixer forward and backward instead.
 """
 
 import importlib.util
@@ -122,3 +122,30 @@ def test_tracer_times_the_conv_mlp_vjps_and_restores_them():
     for op in ("batch_norm", "depthwise_conv2d"):
         assert metrics[f"autodiff.vjp_s.{op}"] > 0, op
     assert metrics["autodiff.tape_nodes"] > 0
+
+
+def test_tracer_times_the_mamba_branch_vjps_and_restores_them():
+    # silu and softplus reach record through the pointwise path; the bench
+    # reads their vjp spans next to the scan's and layer norm's
+    bsz, channels, (h, w) = 2, 4, (3, 3)
+    branch = MambaBranch(channels, (h, w), n_state=4).draw(np.random.default_rng(0))
+    x = Tensor(np.random.default_rng(1).normal(size=(bsz, h, w, channels)), requires_grad=True)
+    before = package_namespaces()
+
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op()
+        with Tape():
+            loss = ad.sum_all(branch(x))
+        ad.backward(loss)
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+
+    assert not changed(before, package_namespaces())
+    assert x.grad is not None
+    metrics, _ = tracer.summary()
+    for key in ("autodiff.vjp_s.silu", "autodiff.vjp_s.softplus", "autodiff.vjp_s.layer_norm",
+                "ssm.scan_vjp_s"):
+        assert metrics[key] > 0, key

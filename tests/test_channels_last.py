@@ -20,11 +20,12 @@ moving batch norm's running buffers between the forward and the backward
 leaves every gradient bit; another that a taped forward of either op holds
 about its output alone.
 
-With no tape active, GELU, SiLU and batch norm write their output into their
-own scratch buffer, and the depthwise forward runs in row tiles on either
-route. The tests at the end check that the tapeless route keeps the taped
-route's bits, leaves its inputs alone and holds about one output's worth of
-memory (two for the depthwise conv, which pads a copy of its input).
+An op builds its output one way whether or not a tape records: GELU, SiLU
+and batch norm write it over their own scratch buffer, and the depthwise
+forward runs in row tiles. The tests at the end check that an op run with no
+tape keeps the taped bits, leaves its inputs alone and holds about one
+output's worth of memory (two for the depthwise conv, which pads a copy of
+its input).
 """
 
 import tracemalloc
@@ -293,8 +294,8 @@ def test_batch_norm_vjp_ignores_later_buffer_updates(training, dtype):
 
 
 def forward_ops(rng, channels, dtype):
-    """Name -> f(x Tensor) for the ops with a tapeless route, parameters drawn
-    once; each also returns the arrays besides x that it must leave alone."""
+    """Name -> f(x Tensor) for the ops run with and without a tape, parameters
+    drawn once; each also returns the arrays besides x that it must leave alone."""
     w = rng.standard_normal((channels, 1, 3, 3)).astype(dtype)
     b = rng.standard_normal(channels).astype(dtype)
     gamma = rng.uniform(0.5, 1.5, channels).astype(dtype)
@@ -306,6 +307,8 @@ def forward_ops(rng, channels, dtype):
     return {
         "gelu": (ad.gelu, []),
         "silu": (ad.silu, []),
+        "relu": (ad.relu, []),
+        "softplus": (ad.softplus, []),
         "batch_norm": (lambda t: ad.batch_norm(t, gt, betat, mean, var, training=False),
                        [gamma, beta, mean, var]),
         "depthwise_conv2d": (lambda t: ad.depthwise_conv2d(t, wt, bt, padding=1), [w, b]),
@@ -314,7 +317,7 @@ def forward_ops(rng, channels, dtype):
 
 # channels-last ConvMlp hidden maps of stage 1: nano at batch 32, S@448 at batch 1
 TAPELESS_SHAPES = [(32, 8, 8, 64), (1, 112, 112, 128)]
-TAPELESS_OPS = ["gelu", "silu", "batch_norm", "depthwise_conv2d"]
+TAPELESS_OPS = ["gelu", "silu", "batch_norm", "depthwise_conv2d", "relu", "softplus"]
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

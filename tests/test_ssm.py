@@ -14,6 +14,7 @@ import pytest
 
 import vcmamba.autodiff as ad
 from vcmamba.autodiff import ShapeMismatch, Tape, Tensor, backward
+from vcmamba.checks import random_scan_instance
 from vcmamba.nn import LayerNorm
 from vcmamba.scanpath import Direction, build_path, path_table
 from vcmamba.ssm import (CHUNK, N_DIRECTIONS, NonFiniteStateError, ScanInputs, SsmParams,
@@ -497,6 +498,22 @@ class TestScanGradients:
         finally:
             tracemalloc.stop()
         assert peak < 196 * 4 * 16 * 64 * 4, peak
+
+    def test_taped_forward_keeps_no_copy_of_its_output(self, rng):
+        # a stage-4 scan of S@224 at batch 2, four paths folded into the batch:
+        # after the forward, the output, the vjp's (L, B, D) x and delta and the
+        # six chunk entry states (about two maps); the vjp keeps y's shape, not y
+        inputs, params = random_scan_instance(rng, 49, 576, 16, 8, np.float32, with_dirs=True)
+        map_bytes = 49 * 8 * 576 * 4
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                y = direction_aware_scan(inputs, params)
+            current = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 1 and y.shape == (8, 576, 49)
+        assert current <= 5.5 * map_bytes, current / map_bytes
 
     def test_sequential_and_parallel_backward_agree(self, rng):
         p1 = make_params(3, 4)

@@ -111,33 +111,8 @@ class Tensor:
         tag = f", name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad}{tag})"
 
-    # Small arithmetic surface, enough for residual sums and test plumbing.
-    def __add__(self, other):
-        return add(self, other) if isinstance(other, Tensor) else add_scalar(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other) if isinstance(other, Tensor) else add_scalar(self, -other)
-
-    def __mul__(self, other):
-        return mul(self, other) if isinstance(other, Tensor) else scale(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
     def sum(self):
         return sum_all(self)
-
-    def mean(self):
-        return mean_all(self)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
 
 
 class _Node:
@@ -684,7 +659,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return out
 
 
-def _resize_axis(n_in: int, n_out: int):
+def _interp_matrix(n_out: int, n_in: int) -> np.ndarray:
     # align-corners linear sampling: endpoints map to endpoints
     if n_out == 1 or n_in == 1:
         pos = np.zeros(n_out)
@@ -694,45 +669,30 @@ def _resize_axis(n_in: int, n_out: int):
     lo = np.minimum(lo, n_in - 1)
     hi = np.minimum(lo + 1, n_in - 1)
     frac = pos - lo
-    return lo, hi, frac
+    rows = np.arange(n_out)
+    r = np.zeros((n_out, n_in))
+    r[rows, hi] = frac
+    r[rows, lo] += 1.0 - frac      # where lo == hi the two weights sum to 1
+    return r
 
 
 def bilinear_resize(m: Tensor, out_h: int, out_w: int) -> Tensor:
     """Resize a (C, H, W) map with align-corners bilinear interpolation.
 
-    Identity (bitwise) when the output size equals the input size. Corners
-    always map to corners, so a constant map stays constant at any size.
+    The resize is the separable linear map ry @ m @ rx.T, with ry the
+    (out_h, H) and rx the (out_w, W) interpolation matrix, computed in float64
+    and rounded once to m's dtype; its vjp is ry.T @ g @ rx. At the map's own
+    size both matrices are identities, so output and gradient keep their bits.
+    Corners always map to corners, so a constant map stays constant at any size.
     """
     if m.ndim != 3:
         raise ShapeMismatch("bilinear_resize", f"expected (C, H, W) map, got shape {m.shape}")
     if out_h < 1 or out_w < 1:
         raise ShapeMismatch("bilinear_resize", f"output size {out_h}x{out_w} must be positive")
-    c, h, w = m.shape
-    if (out_h, out_w) == (h, w):
-        out = Tensor(m.data.copy(), dtype=m.dtype)
-        record("bilinear_resize", out, (m,), lambda g: (g,))
-        return out
-
-    y0, y1, fy = _resize_axis(h, out_h)
-    x0, x1, fx = _resize_axis(w, out_w)
-    wy0, wy1 = (1.0 - fy)[:, None], fy[:, None]       # (out_h, 1)
-    wx0, wx1 = (1.0 - fx)[None, :], fx[None, :]       # (1, out_w)
-
-    corners = ((y0, x0, wy0 * wx0), (y0, x1, wy0 * wx1),
-               (y1, x0, wy1 * wx0), (y1, x1, wy1 * wx1))
-    data = np.zeros((c, out_h, out_w), dtype=m.dtype)
-    for yy, xx, ww in corners:
-        data += m.data[:, yy[:, None], xx[None, :]] * ww
-    out = Tensor(data, dtype=m.dtype)
-
-    def vjp(g):
-        gm = np.zeros((c, h, w), dtype=g.dtype)
-        ci = np.arange(c)[:, None, None]
-        for yy, xx, ww in corners:
-            np.add.at(gm, (ci, yy[None, :, None], xx[None, None, :]), g * ww)
-        return (gm,)
-
-    record("bilinear_resize", out, (m,), vjp)
+    _, h, w = m.shape
+    ry, rx = _interp_matrix(out_h, h), _interp_matrix(out_w, w)
+    out = Tensor((ry @ m.data @ rx.T).astype(m.dtype), dtype=m.dtype)
+    record("bilinear_resize", out, (m,), lambda g: ((ry.T @ g @ rx).astype(g.dtype),))
     return out
 
 

@@ -25,13 +25,16 @@ Grammar (every key optional, defaults shown):
     seed = 0
 
 Comments start with # or ; (also inline). Interpolation is disabled. Unknown
-sections or keys and out-of-range values raise ValidationError before any
-training work starts.
+sections or keys, out-of-range or non-finite values and a checkpoint and log
+that resolve to the same file raise ValidationError before any training work
+starts.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
+import os
 from dataclasses import dataclass, fields
 
 from .model import PRESETS
@@ -61,6 +64,10 @@ class TrainConfig:
     def validate(self) -> "TrainConfig":
         if self.preset not in PRESETS:
             raise ValidationError(f"unknown preset {self.preset!r}; choose from {sorted(PRESETS)}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValidationError(f"{f.name} must be finite, got {value}")
         if self.lr < 0:
             raise ValidationError(f"lr must be >= 0, got {self.lr}")
         if not (0 <= self.beta1 < 1) or not (0 <= self.beta2 < 1):
@@ -82,6 +89,8 @@ class TrainConfig:
                 raise ValidationError(f"{key} must be >= 0, got {seed}")
         if not self.checkpoint_path or not self.log_path:
             raise ValidationError("checkpoint and log paths must be non-empty")
+        if os.path.realpath(self.checkpoint_path) == os.path.realpath(self.log_path):
+            raise ValidationError(f"checkpoint and log are the same file: {self.log_path!r}")
         return self
 
 

@@ -4,7 +4,8 @@ bench/tracing.py patches package functions by name and reads the scan
 operands' layout to count scanned elements. A rename or a layout change in
 ``src/`` would break ``bench/run.py --trace 1`` without failing any kernel
 test; these trace a single Mamba mixer forward, a single eval ConvMlp
-forward and a taped ConvMlp and Mamba mixer forward and backward instead.
+forward and a taped ConvMlp and Mamba mixer forward and backward, the last
+also off the mixer's native grid, instead.
 """
 
 import importlib.util
@@ -148,4 +149,32 @@ def test_tracer_times_the_mamba_branch_vjps_and_restores_them():
     metrics, _ = tracer.summary()
     for key in ("autodiff.vjp_s.silu", "autodiff.vjp_s.softplus", "autodiff.vjp_s.layer_norm",
                 "ssm.scan_vjp_s"):
+        assert metrics[key] > 0, key
+
+
+def test_tracer_times_the_positional_resize_off_the_native_grid():
+    # the bench times bilinear_resize by name; s448_eval resizes every
+    # stage-4 positional map, so the op and its vjp must stay visible there
+    bsz, channels = 2, 4
+    branch = MambaBranch(channels, (3, 3), n_state=4).draw(np.random.default_rng(0))
+    x = Tensor(np.random.default_rng(1).normal(size=(bsz, 5, 4, channels)), requires_grad=True)
+    before = package_namespaces()
+
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        installed = changed(before, package_namespaces())
+        tracer.begin_op()
+        with Tape():
+            loss = ad.sum_all(branch(x))
+        ad.backward(loss)
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+
+    assert ("vcmamba.autodiff", "bilinear_resize") in installed
+    assert not changed(before, package_namespaces())
+    assert branch.pos_table.grad is not None
+    metrics, _ = tracer.summary()
+    for key in ("autodiff.fwd_s.bilinear_resize", "autodiff.vjp_s.bilinear_resize"):
         assert metrics[key] > 0, key

@@ -119,6 +119,16 @@ n_samples = 16
         assert main(["train", "--config", str(cfg)]) == 1
         assert "momentum" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["lr = nan", "lr = inf", "eps = nan", "weight_decay = inf"])
+    def test_non_finite_float_exits_one_before_training(self, tmp_path, capsys, line):
+        ckpt = tmp_path / "m.ckpt"
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(f"[optimizer]\n{line}\n[train]\nsteps = 1\ncheckpoint = {ckpt}\n"
+                       f"log = {tmp_path / 'log.csv'}\n")
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "nope.cfg")]) == 1
         assert "cannot read" in capsys.readouterr().err

@@ -133,6 +133,10 @@ class TestRejection:
         ("n_samples", 0, "n_samples"),
         ("checkpoint_path", "", "non-empty"),
         ("log_path", "", "non-empty"),
+        ("lr", float("nan"), "lr must be finite"),
+        ("lr", float("inf"), "lr must be finite"),
+        ("eps", float("nan"), "eps must be finite"),
+        ("weight_decay", float("inf"), "weight_decay must be finite"),
     ])
     def test_out_of_range_values(self, field, value, msg):
         cfg = dataclasses.replace(TrainConfig(), **{field: value})
@@ -144,6 +148,12 @@ class TestRejection:
                              ids=["train", "data"])
     def test_negative_seed_names_its_key(self, tmp_path, text, key):
         with pytest.raises(ValidationError, match=re.escape(key) + " must be >= 0"):
+            load_train_config(write(tmp_path, text))
+
+    def test_checkpoint_and_log_resolving_to_one_file_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        text = f"[train]\ncheckpoint = {tmp_path / 'run.out'}\nlog = ./run.out\n"
+        with pytest.raises(ValidationError, match="same file"):
             load_train_config(write(tmp_path, text))
 
     def test_validation_error_is_a_value_error(self):

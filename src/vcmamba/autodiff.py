@@ -111,9 +111,6 @@ class Tensor:
         tag = f", name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad}{tag})"
 
-    def sum(self):
-        return sum_all(self)
-
 
 class _Node:
     """One recorded op. It holds no output data: its gradient accumulator,

@@ -19,9 +19,10 @@ included), so a round trip reproduces eval-mode behaviour exactly. A save
 writes and fsyncs a temporary file, then renames it over the target, so a
 failed or interrupted save leaves the previous checkpoint intact. Loading
 rejects wrong magic, a header dtype other than float32/float64 and entries
-tagged otherwise (format errors), unknown versions (version error) and any
-truncation or corruption (integrity error, no partially loaded model). A load
-draws nothing: it fills VCMamba.undrawn(spec), and a missing entry is an error.
+tagged otherwise, entry names that are not UTF-8 or appear twice (format
+errors), unknown versions (version error) and any truncation or corruption
+(integrity error, no partially loaded model). A load draws nothing: it fills
+VCMamba.undrawn(spec), and a missing entry is an error.
 """
 
 from __future__ import annotations
@@ -146,7 +147,12 @@ def load_checkpoint(path: str) -> VCMamba:
     (count,) = r.unpack("<I")
     for _ in range(count):
         (nlen,) = r.unpack("<H")
-        name = bytes(r.take(nlen)).decode("utf-8")
+        try:
+            name = bytes(r.take(nlen)).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointFormatError(f"checkpoint entry name is not UTF-8: {exc}") from exc
+        if name in seen:
+            raise CheckpointFormatError(f"checkpoint entry {name!r} appears twice")
         tag, ndim = r.unpack("<BB")
         if tag != _DTYPE_TAGS[dtype]:
             raise CheckpointFormatError(f"entry {name!r} has dtype tag {tag}, but the header "

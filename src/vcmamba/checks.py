@@ -21,8 +21,8 @@ from .data import ToyDataset
 from .gradcheck import finite_diff_check
 from .model import PRESETS, VCMamba, count_macs, count_params
 from .scanpath import Direction, PathId, build_path, gather_tokens, path_table, scatter_tokens
-from .ssm import (CHUNK, N_DIRECTIONS, ScanInputs, SsmParams, direction_aware_scan, discretize,
-                  selective_scan_parallel, selective_scan_sequential)
+from .ssm import (CHUNK, N_DIRECTIONS, ScanInputs, SsmParams, _chunk_states, _discretize,
+                  direction_aware_scan, selective_scan_parallel, selective_scan_sequential)
 
 
 @dataclass
@@ -191,14 +191,16 @@ def check_direction_oracle(trials: int = 50) -> CheckResult:
 
 def check_kernel_stability(trials: int = 20) -> CheckResult:
     """|h_i| <= max_j |bbar_j x_j| / (1 - max abar): the contraction bound
-    of the recurrence with A < 0."""
+    of the recurrence with A < 0, on the states the scan kernel runs."""
     rng = np.random.default_rng(17)
     for _ in range(trials):
         length = int(rng.integers(1, 257))
         inputs, params = random_scan_instance(rng, length, 4, 8, 2, np.float64)
-        _, h = selective_scan_sequential(inputs, params, return_hidden=True)
-        abar, bbar = discretize(inputs.delta.data, params.a_log.data, inputs.b_seq.data)
-        u = bbar * inputs.x.data[:, :, None, :]
+        # scan axis first: (L, B, D) and (L, B, N), states (L, B, N, D)
+        dt, b, x = (np.moveaxis(v.data, -1, 0) for v in (inputs.delta, inputs.b_seq, inputs.x))
+        a_t = -np.exp(params.a_log.data.T)
+        abar, h = _chunk_states(dt, a_t, b, x, 0.0)
+        u = _discretize(dt, a_t, b)[1] * x[:, :, None, :]
         amax = float(abar.max())
         bound = float(np.abs(u).max()) / (1.0 - amax)
         hmax = float(np.abs(h).max())
@@ -248,20 +250,21 @@ def check_gradients() -> CheckResult:
 
     # the map ops take channels-last (B, H, W, C) maps
     x, w, b = t64(2, 6, 6, 3), t64(4, 3, 3, 3, scale=0.3), t64(4, scale=0.3)
-    run("conv2d", lambda: ad.conv2d(x, w, b, stride=2, padding=1).sum(), [x, w, b])
+    run("conv2d", lambda: ad.sum_all(ad.conv2d(x, w, b, stride=2, padding=1)), [x, w, b])
     wd, bd = t64(3, 1, 3, 3, scale=0.3), t64(3, scale=0.3)
     weights = Tensor(rng.standard_normal((2, 6, 6, 3)), dtype=np.float64)
     run("depthwise_conv2d",
-        lambda: ad.mul(ad.depthwise_conv2d(x, wd, bd, padding=1), weights).sum(), [x, wd, bd])
+        lambda: ad.sum_all(ad.mul(ad.depthwise_conv2d(x, wd, bd, padding=1), weights)),
+        [x, wd, bd])
     gamma, beta = t64(3, scale=0.3), t64(3, scale=0.3)
     stats = np.zeros(3), np.ones(3)
     run("batch_norm (training)",
-        lambda: ad.mul(ad.batch_norm(x, gamma, beta, *stats, training=True), weights).sum(),
+        lambda: ad.sum_all(ad.mul(ad.batch_norm(x, gamma, beta, *stats, training=True), weights)),
         [x, gamma, beta])
 
     xl = Tensor(rng.standard_normal((5, 4)), requires_grad=True, dtype=np.float64)
     wl = Tensor(rng.standard_normal((3, 4)), requires_grad=True, dtype=np.float64)
-    run("linear+gelu", lambda: ad.gelu(ad.linear(xl, wl)).sum(), [xl, wl])
+    run("linear+gelu", lambda: ad.sum_all(ad.gelu(ad.linear(xl, wl))), [xl, wl])
 
     # long enough that the backward's recompute crosses two chunk boundaries
     inputs, params = random_scan_instance(rng, 2 * CHUNK + 3, 3, 4, 2, np.float64,
@@ -270,8 +273,7 @@ def check_gradients() -> CheckResult:
     for t in operands:
         t.requires_grad = True
     wrt = operands + [params.a_log, params.direction_table, params.skip_gain]
-    run("direction_aware_scan",
-        lambda: direction_aware_scan(inputs, params).sum(), wrt)
+    run("direction_aware_scan", lambda: ad.sum_all(direction_aware_scan(inputs, params)), wrt)
 
     if failures:
         return _result("gradients", False, "; ".join(failures))

@@ -25,9 +25,11 @@ Grammar (every key optional, defaults shown):
     seed = 0
 
 Comments start with # or ; (also inline). Interpolation is disabled. Unknown
-sections or keys, out-of-range or non-finite values and a checkpoint and log
-that resolve to the same file raise ValidationError before any training work
-starts.
+sections or keys, out-of-range or non-finite values, a checkpoint and log
+that resolve to the same file and a log that is the checkpoint's temporary
+file (<checkpoint>.tmp, written by each save) raise ValidationError before
+any training work starts. Whether the paths can be written is train()'s
+check, so a config may name a directory that does not exist yet.
 """
 
 from __future__ import annotations
@@ -89,8 +91,11 @@ class TrainConfig:
                 raise ValidationError(f"{key} must be >= 0, got {seed}")
         if not self.checkpoint_path or not self.log_path:
             raise ValidationError("checkpoint and log paths must be non-empty")
-        if os.path.realpath(self.checkpoint_path) == os.path.realpath(self.log_path):
+        log = os.path.realpath(self.log_path)
+        if log == os.path.realpath(self.checkpoint_path):
             raise ValidationError(f"checkpoint and log are the same file: {self.log_path!r}")
+        if log == os.path.realpath(f"{self.checkpoint_path}.tmp"):
+            raise ValidationError(f"log {self.log_path!r} is the checkpoint's temporary file")
         return self
 
 

@@ -213,7 +213,7 @@ def _mdm_macs(channels: int, side_h: int, side_w: int, n_state: int) -> int:
     inner += l * d * 9                        # depthwise conv
     inner += 2 * l * n_state * d              # B and C projections, once on the raster tokens
     inner += 2 * l * delta_rank(d) * d        # low-rank delta head, likewise
-    # per path: discretize (2), input term, recurrence and readout per state, then the skip
+    # per path: discretization (2), input term, recurrence and readout per state, then the skip
     inner += len(PathId) * l * d * (5 * n_state + 1)
     inner += l * channels * d                 # out-projection
     return inner + _mlp_macs(channels, side_h, side_w)

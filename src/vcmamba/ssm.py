@@ -156,17 +156,6 @@ def _discretize(delta: np.ndarray, a_t: np.ndarray, b: np.ndarray,
     return np.exp(abar, out=abar), np.multiply(delta[..., None, :], b[..., None], out=out[1])
 
 
-def discretize(delta: np.ndarray, a_log: np.ndarray,
-               b_seq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-order hold on A, first-order Euler on B.
-
-    delta (B, D, L), a_log (D, N), b_seq (B, N, L) -> abar, bbar (B, D, N, L)
-    with abar = exp(delta * A), A = -exp(a_log), and bbar = delta * b.
-    """
-    abar, bbar = _discretize(np.moveaxis(delta, -1, 0), -np.exp(a_log.T), np.moveaxis(b_seq, -1, 0))
-    return abar.transpose(1, 3, 2, 0), bbar.transpose(1, 3, 2, 0)
-
-
 def _chunk_states(delta: np.ndarray, a_t: np.ndarray, b: np.ndarray, x: np.ndarray,
                   h_in: np.ndarray | float, out=None) -> tuple[np.ndarray, np.ndarray]:
     """The literal recurrence over K tokens, scan axis first: delta, x (K, B, D),
@@ -199,7 +188,7 @@ def _pair_scan_doubling(abar: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _check_scan_operands(op: str, inputs: ScanInputs, params: SsmParams,
-                         with_directions: bool) -> None:
+                         dirs: np.ndarray | None) -> None:
     x, delta, b_seq, c_seq = inputs.x, inputs.delta, inputs.b_seq, inputs.c_seq
     if x.ndim != 3:
         raise ShapeMismatch(op, f"x must be (B, D, L), got {x.shape}")
@@ -213,10 +202,7 @@ def _check_scan_operands(op: str, inputs: ScanInputs, params: SsmParams,
                                 f"{b_seq.shape} and {c_seq.shape}")
     if np.any(delta.data < 0):
         raise ValueError(f"{op}: delta must be non-negative")
-    if with_directions:
-        dirs = inputs.dirs
-        if dirs is None:
-            raise ValueError(f"{op}: direction codes are required")
+    if dirs is not None:
         dirs = np.asarray(dirs)
         if dirs.shape not in ((length,), (bsz, length)) or not np.issubdtype(dirs.dtype, np.integer):
             raise ShapeMismatch(op, f"dirs must be ({length},) or ({bsz}, {length}) integers, "
@@ -228,12 +214,13 @@ def _check_scan_operands(op: str, inputs: ScanInputs, params: SsmParams,
                 raise ValueError(f"{op}: direction codes must lie in [0, {N_DIRECTIONS})")
 
 
-def _selective_scan(op: str, inputs: ScanInputs, params: SsmParams, *,
-                    with_directions: bool, parallel: bool) -> Tensor:
+def _selective_scan(op: str, inputs: ScanInputs, params: SsmParams,
+                    dirs: np.ndarray | None, *, parallel: bool) -> Tensor:
     """Shared kernel body: y = C h + skip_gain * x with h_i = abar_i h_{i-1}
     + delta_i (b_i [+ table[dirs_i]]) x_i as one fused tape node, its states
-    run by _chunk_states or, with parallel, by the doubling oracle."""
-    _check_scan_operands(op, inputs, params, with_directions)
+    run by _chunk_states or, with parallel, by the doubling oracle. dirs is
+    None for the direction-free scans."""
+    _check_scan_operands(op, inputs, params, dirs)
     x, delta, b_seq, c_seq = inputs.x, inputs.delta, inputs.b_seq, inputs.c_seq
     a_log, skip, table = params.a_log, params.skip_gain, params.direction_table
     bad = ~np.isfinite(delta.data).all(axis=1)                      # (B, L)
@@ -243,9 +230,8 @@ def _selective_scan(op: str, inputs: ScanInputs, params: SsmParams, *,
     # scan axis first, channels last: (L, B, D) and (L, B, N)
     xt, dt, beff, ct = (np.ascontiguousarray(np.moveaxis(v.data, -1, 0))
                         for v in (x, delta, b_seq, c_seq))
-    dirs = None
-    if with_directions:
-        dirs = np.broadcast_to(inputs.dirs, (x.shape[0], x.shape[2])).T   # (L, B)
+    if dirs is not None:
+        dirs = np.broadcast_to(dirs, (x.shape[0], x.shape[2])).T    # (L, B)
         beff = beff + table.data[dirs]
     a_t = np.ascontiguousarray(-np.exp(a_log.data.T))               # A^T, (N, D)
 
@@ -315,24 +301,14 @@ def _selective_scan(op: str, inputs: ScanInputs, params: SsmParams, *,
     return out
 
 
-def selective_scan_sequential(inputs: ScanInputs, params: SsmParams, *,
-                              return_hidden: bool = False):
-    """Direction-free scan evaluated as the literal recurrence; with return_hidden,
-    also returns the (B, D, N, L) states, recomputed in full by the same
-    routine after the forward."""
-    out = _selective_scan("selective_scan_sequential", inputs, params,
-                          with_directions=False, parallel=False)
-    if not return_hidden:
-        return out
-    xt, dt, b = (np.moveaxis(v.data, -1, 0) for v in (inputs.x, inputs.delta, inputs.b_seq))
-    h = _chunk_states(dt, -np.exp(params.a_log.data.T), b, xt, 0.0)[1]
-    return out, h.transpose(1, 3, 2, 0)
+def selective_scan_sequential(inputs: ScanInputs, params: SsmParams) -> Tensor:
+    """Direction-free scan evaluated as the literal recurrence."""
+    return _selective_scan("selective_scan_sequential", inputs, params, None, parallel=False)
 
 
 def selective_scan_parallel(inputs: ScanInputs, params: SsmParams) -> Tensor:
     """Direction-free scan evaluated as the log-depth doubling scan."""
-    return _selective_scan("selective_scan_parallel", inputs, params,
-                           with_directions=False, parallel=True)
+    return _selective_scan("selective_scan_parallel", inputs, params, None, parallel=True)
 
 
 def direction_aware_scan(inputs: ScanInputs, params: SsmParams, *,
@@ -340,8 +316,9 @@ def direction_aware_scan(inputs: ScanInputs, params: SsmParams, *,
     """Scan with the per-direction additive B term, discretized exactly like B
     itself: token i's effective input matrix is delta_i * (b_i + table[dirs[i]]).
     A zero table reproduces the plain scan bit for bit."""
-    return _selective_scan("direction_aware_scan", inputs, params,
-                           with_directions=True, parallel=parallel)
+    if inputs.dirs is None:
+        raise ValueError("direction_aware_scan: direction codes are required")
+    return _selective_scan("direction_aware_scan", inputs, params, inputs.dirs, parallel=parallel)
 
 
 def directional_scan_sum(features: Tensor, params: SsmParams) -> Tensor:

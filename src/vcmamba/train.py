@@ -12,13 +12,17 @@ the loss or the gradient norm turns non-finite, or the forward pass meets a
 non-finite scan delta or state (NonFiniteStateError), the run aborts with
 TrainingDiverged before the update and the last written checkpoint stays on
 disk untouched. The scan backward checks nothing: a non-finite scan gradient
-shows up as a non-finite gradient norm.
+shows up as a non-finite gradient norm. Before the first save, both output
+paths must lie in an existing directory and not be directories themselves
+(ValidationError otherwise), so a bad log path cannot replace a checkpoint
+already on disk.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .checkpoint import save_checkpoint
-from .config import TrainConfig
+from .config import TrainConfig, ValidationError
 from .data import ToyDataset
 from .model import VCMamba, get_preset
 from .optim import AdamW
@@ -80,6 +84,11 @@ def evaluate(model: VCMamba, dataset: ToyDataset, *, batch_size: int = 64) -> tu
 
 def train(cfg: TrainConfig) -> TrainResult:
     cfg.validate()
+    for what, path in (("checkpoint", cfg.checkpoint_path), ("log", cfg.log_path)):
+        if os.path.isdir(path):
+            raise ValidationError(f"{what} path {path!r} is a directory")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ValidationError(f"{what} path {path!r} is in a directory that does not exist")
     spec = get_preset(cfg.preset)
     model = VCMamba(spec, seed=cfg.seed)
     dataset = ToyDataset(cfg.n_samples, seed=cfg.data_seed, resolution=spec.input_resolution)

@@ -46,6 +46,14 @@ def rewrite(path, mutate):
     path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
 
 
+def seal(tmp_path, parts):
+    """Write checkpoint body parts and their CRC, as save_checkpoint does."""
+    body = b"".join(parts)
+    path = tmp_path / "rebuilt.ckpt"
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    return path
+
+
 def drop_entry(body, name):
     """Remove entry `name` from a checkpoint body and decrement the entry count."""
     (hlen,) = struct.unpack("<I", body[8:12])
@@ -218,6 +226,22 @@ class TestRejection:
         rewrite(ckpt, lambda body: body + b"??")
         with pytest.raises(CheckpointFormatError, match="trailing"):
             load_checkpoint(str(ckpt))
+
+    def test_repeated_entry_name(self, tmp_path):
+        parts = [bytes(p) for p in checkpoint._parts(scrambled_model())]
+        (count,) = struct.unpack("<I", parts[0][-4:])
+        parts[0] = parts[0][:-4] + struct.pack("<I", count + 1)
+        parts += parts[1:3]                 # the first entry's name and shape, then its data
+        path = seal(tmp_path, parts)
+        with pytest.raises(CheckpointFormatError, match="appears twice"):
+            load_checkpoint(str(path))
+
+    def test_entry_name_not_utf8(self, tmp_path):
+        parts = [bytes(p) for p in checkpoint._parts(scrambled_model())]
+        parts[1] = parts[1][:2] + b"\xff" + parts[1][3:]     # first byte of the first name
+        path = seal(tmp_path, parts)
+        with pytest.raises(CheckpointFormatError, match="not UTF-8"):
+            load_checkpoint(str(path))
 
     def test_errors_share_a_base_class(self):
         for err in (CheckpointFormatError, CheckpointVersionError,

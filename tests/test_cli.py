@@ -129,6 +129,17 @@ n_samples = 16
         assert "must be finite" in capsys.readouterr().err
         assert not ckpt.exists()
 
+    def test_missing_log_directory_keeps_the_checkpoint(self, tmp_path, capsys):
+        # a user-input error must exit 1 before the step-0 save replaces the last-good file
+        ckpt = tmp_path / "m.ckpt"
+        ckpt.write_bytes(b"last-good checkpoint")
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(f"[train]\nsteps = 1\ncheckpoint = {ckpt}\n"
+                       f"log = {tmp_path / 'missing' / 'log.csv'}\n")
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert "does not exist" in capsys.readouterr().err
+        assert ckpt.read_bytes() == b"last-good checkpoint"
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "nope.cfg")]) == 1
         assert "cannot read" in capsys.readouterr().err

@@ -156,6 +156,12 @@ class TestRejection:
         with pytest.raises(ValidationError, match="same file"):
             load_train_config(write(tmp_path, text))
 
+    def test_log_that_is_the_checkpoint_temporary_file_rejected(self, tmp_path):
+        # each save writes <checkpoint>.tmp and renames it over the checkpoint
+        text = f"[train]\ncheckpoint = {tmp_path / 'run.ckpt'}\nlog = {tmp_path / 'run.ckpt.tmp'}\n"
+        with pytest.raises(ValidationError, match="temporary file"):
+            load_train_config(write(tmp_path, text))
+
     def test_validation_error_is_a_value_error(self):
         assert issubclass(ValidationError, ValueError)
 

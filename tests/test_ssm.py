@@ -18,8 +18,8 @@ from vcmamba.checks import random_scan_instance
 from vcmamba.nn import LayerNorm
 from vcmamba.scanpath import Direction, build_path, path_table
 from vcmamba.ssm import (CHUNK, N_DIRECTIONS, NonFiniteStateError, ScanInputs, SsmParams,
-                         _chunk_states, _pair_scan_doubling,
-                         direction_aware_scan, directional_scan_sum, discretize,
+                         _chunk_states, _discretize, _pair_scan_doubling,
+                         direction_aware_scan, directional_scan_sum,
                          selective_projection, selective_scan_parallel,
                          selective_scan_sequential)
 
@@ -159,21 +159,33 @@ class TestSelectiveProjection:
 
 
 class TestDiscretize:
+    """The token-wise rule on scan-axis-first operands: delta (L, B, D),
+    A^T (N, D), b (L, B, N) -> abar, bbar (L, B, N, D)."""
+
     def test_frozen_zero_order_hold(self):
         delta = np.full((1, 1, 1), 0.5)
-        a_log = np.zeros((1, 1))  # A = -1
+        a_t = -np.exp(np.zeros((1, 1)))  # A = -1
         b = np.full((1, 1, 1), 2.0)
-        abar, bbar = discretize(delta, a_log, b)
+        abar, bbar = _discretize(delta, a_t, b)
         assert abar[0, 0, 0, 0] == pytest.approx(np.exp(-0.5), abs=1e-12)
         assert bbar[0, 0, 0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_shapes_and_decay_range(self, rng):
-        delta = rng.uniform(0.01, 0.5, size=(2, 3, 7))
-        a_log = rng.normal(size=(3, 4))
-        b = rng.normal(size=(2, 4, 7))
-        abar, bbar = discretize(delta, a_log, b)
-        assert abar.shape == bbar.shape == (2, 3, 4, 7)
+        delta = rng.uniform(0.01, 0.5, size=(7, 2, 3))
+        a_t = -np.exp(rng.normal(size=(4, 3)))
+        b = rng.normal(size=(7, 2, 4))
+        abar, bbar = _discretize(delta, a_t, b)
+        assert abar.shape == bbar.shape == (7, 2, 4, 3)
         assert np.all(abar > 0) and np.all(abar < 1)
+
+
+def kernel_states(inp, p):
+    """abar, bbar and the states h, all (L, B, N, D), from the kernel's own
+    routines on the scan-axis-first operands."""
+    dt, b, x = (np.moveaxis(t.data, -1, 0) for t in (inp.delta, inp.b_seq, inp.x))
+    a_t = -np.exp(p.a_log.data.T)
+    abar, h = _chunk_states(dt, a_t, b, x, 0.0)
+    return abar, _discretize(dt, a_t, b)[1], h
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +272,7 @@ class TestScanValues:
         np.testing.assert_allclose(selective_scan_sequential(inp, p).data, expected,
                                    atol=1e-10)
 
-    def test_matches_dense_oracle_with_directions(self, rng):
+    def test_matches_dense_oracle_direction_aware(self, rng):
         p = make_params(2, 3)
         p.direction_table.data[:] = rng.normal(size=(N_DIRECTIONS, 3)) * 0.3
         inp = make_inputs(rng, b=2, d=2, n=3, length=11, with_dirs=True)
@@ -299,16 +311,19 @@ class TestScanValues:
         directed = direction_aware_scan(inp, p)
         np.testing.assert_array_equal(directed.data, plain.data)
 
-    def test_return_hidden_matches_recurrence(self, rng):
+    def test_chunk_states_match_recurrence(self, rng):
         p = make_params(2, 3)
         inp = make_inputs(rng, b=1, d=2, n=3, length=5)
-        y, h = selective_scan_sequential(inp, p, return_hidden=True)
-        assert h.shape == (1, 2, 3, 5)
-        abar, bbar = discretize(inp.delta.data, p.a_log.data, inp.b_seq.data)
-        acc = np.zeros((1, 2, 3))
+        abar, bbar, h = kernel_states(inp, p)
+        assert h.shape == (5, 1, 3, 2)
+        x = np.moveaxis(inp.x.data, -1, 0)
+        acc = np.zeros((1, 3, 2))
         for i in range(5):
-            acc = abar[..., i] * acc + bbar[..., i] * inp.x.data[:, :, None, i]
-            np.testing.assert_allclose(h[..., i], acc, atol=1e-12)
+            acc = abar[i] * acc + bbar[i] * x[i][:, None, :]
+            np.testing.assert_allclose(h[i], acc, atol=1e-12)
+        # they are the states the scan reads out: y = C h + skip_gain * x
+        y = np.einsum("bnl,lbnd->bdl", inp.c_seq.data, h) + p.skip_gain.data[:, None] * inp.x.data
+        np.testing.assert_allclose(selective_scan_sequential(inp, p).data, y, atol=1e-12)
 
 
 class TestScanProperties:
@@ -346,9 +361,8 @@ class TestScanProperties:
     def test_state_stays_inside_contraction_bound(self, rng):
         p = make_params(2, 3)
         inp = make_inputs(rng, b=2, d=2, n=3, length=300)
-        _, h = selective_scan_sequential(inp, p, return_hidden=True)
-        abar, bbar = discretize(inp.delta.data, p.a_log.data, inp.b_seq.data)
-        u = bbar * inp.x.data[:, :, None, :]
+        abar, bbar, h = kernel_states(inp, p)
+        u = bbar * np.moveaxis(inp.x.data, -1, 0)[:, :, None, :]
         bound = np.abs(u).max() / (1.0 - abar.max())
         assert np.abs(h).max() <= bound + 1e-9
 
@@ -411,9 +425,11 @@ class TestScanValidation:
         # abar = 1 and bbar = 0, a legitimate state that the scan must carry
         inp = make_inputs(rng, b=2, d=3, n=4, length=6)
         inp.delta.data[:, :, 3] = 0.0
-        _, h = selective_scan_sequential(inp, make_params(3, 4), return_hidden=True)
-        np.testing.assert_array_equal(h[..., 3], h[..., 2])
+        p = make_params(3, 4)
+        h = kernel_states(inp, p)[2]
+        np.testing.assert_array_equal(h[3], h[2])
         assert np.all(np.isfinite(h))
+        assert np.all(np.isfinite(selective_scan_sequential(inp, p).data))
 
     def test_nonfinite_delta_is_a_state_error(self, rng):
         inp = make_inputs(rng, length=5, with_dirs=True)

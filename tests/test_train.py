@@ -23,7 +23,7 @@ import pytest
 import vcmamba.autodiff as ad
 from vcmamba.autodiff import Tape, Tensor, backward
 from vcmamba.checkpoint import load_checkpoint
-from vcmamba.config import TrainConfig, load_train_config
+from vcmamba.config import TrainConfig, ValidationError, load_train_config
 from vcmamba.data import ToyDataset
 from vcmamba.model import VCMamba, get_preset
 from vcmamba.optim import AdamW
@@ -299,6 +299,11 @@ class TestTrainLoop:
     def test_invalid_config_rejected_before_work(self, tmp_path):
         with pytest.raises(ValueError):
             train(small_cfg(tmp_path, steps=0))
+
+    def test_directory_output_path_rejected_before_work(self, tmp_path):
+        with pytest.raises(ValidationError, match="is a directory"):
+            train(small_cfg(tmp_path, checkpoint_path=str(tmp_path)))
+        assert os.listdir(tmp_path) == []
 
     def test_loss_decreases_over_short_run(self, tmp_path):
         cfg = small_cfg(tmp_path, steps=30, batch_size=8, n_samples=32,

@@ -13,7 +13,8 @@ binary op requires exactly matching shapes and raises ShapeMismatch
 otherwise. The convolutions, batch norm and the map add take channels-last
 (B, H, W, C) maps; global_avg_pool takes (B, C, H, W). Their backward stays in
 that layout: per-channel gradient sums read the rows into a float64
-accumulator, and both convs scatter their input gradient tap by tap.
+accumulator, conv2d scatters its input gradient tap by tap, and
+depthwise_conv2d runs its forward's tap sum over the padded gradient.
 
 The tape decides, the ops compute. recording(*inputs) alone says whether an
 op records: a tape is active and some input requires a gradient. An op builds
@@ -48,7 +49,7 @@ DEFAULT_DTYPE = np.float32
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT_2PI = 0.3989422804014327
-_ROWS = 4   # output rows per depthwise_conv2d forward tile
+_ROWS = 4   # output rows per depthwise_conv2d tap-sum tile
 
 
 class AutodiffError(RuntimeError):
@@ -412,24 +413,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return out
 
 
-def _conv_out_dim(size: int, k: int, stride: int, padding: int) -> int:
-    return (size + 2 * padding - k) // stride + 1
-
-
-def _check_conv_args(op: str, x: Tensor, w: Tensor, stride: int, padding: int) -> tuple[int, int]:
-    if x.ndim != 4 or w.ndim != 4:
-        raise ShapeMismatch(op, f"need 4-D input and weight, got {x.shape} and {w.shape}")
-    if stride < 1 or padding < 0:
-        raise ShapeMismatch(op, f"stride must be >= 1 and padding >= 0, got {stride}, {padding}")
-    kh, kw = w.shape[2], w.shape[3]
-    oh = _conv_out_dim(x.shape[1], kh, stride, padding)
-    ow = _conv_out_dim(x.shape[2], kw, stride, padding)
-    if oh < 1 or ow < 1:
-        raise ShapeMismatch(op, f"kernel {kh}x{kw} stride {stride} padding {padding} leaves no "
-                                f"output positions on input {x.shape}")
-    return oh, ow
-
-
 def _taps(i: int, stride: int, n_out: int) -> slice:
     """The input rows (or columns) that kernel tap i reads for n_out outputs."""
     return slice(i, i + stride * (n_out - 1) + 1, stride)
@@ -439,23 +422,22 @@ def _pad_map(a: np.ndarray, padding: int) -> np.ndarray:
     return np.pad(a, ((0, 0), (padding, padding), (padding, padding), (0, 0))) if padding else a
 
 
-def _scatter_taps(xp_shape, dtype, stride: int, padding: int, slabs) -> np.ndarray:
-    """A conv's input gradient: each (i, j, slab), the gradient of what tap (i, j)
-    read, is added into a zeroed padded map in turn; then the padding is dropped."""
-    gxp = np.zeros(xp_shape, dtype=dtype)
-    for i, j, slab in slabs:
-        gxp[:, _taps(i, stride, slab.shape[1]), _taps(j, stride, slab.shape[2])] += slab
-    return np.ascontiguousarray(gxp[:, padding:xp_shape[1] - padding, padding:xp_shape[2] - padding])
-
-
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
            padding: int = 0) -> Tensor:
     """Cross-correlation of a channels-last (B, H, W, Cin) map, weight (Cout, Cin,
     kh, kw); no kernel flip. One gemm of the patch matrix, rows (b, oh, ow) and
     columns (cin, kh, kw), whose (B*oh*ow, Cout) result is already channels-last."""
-    oh, ow = _check_conv_args("conv2d", x, w, stride, padding)
-    bsz, _, _, cin = x.shape
+    if x.ndim != 4 or w.ndim != 4:
+        raise ShapeMismatch("conv2d", f"need 4-D input and weight, got {x.shape} and {w.shape}")
+    if stride < 1 or padding < 0:
+        raise ShapeMismatch("conv2d", f"stride must be >= 1 and padding >= 0, got {stride}, "
+                                      f"{padding}")
+    bsz, h, wd, cin = x.shape
     cout, wcin, kh, kw = w.shape
+    oh, ow = (h + 2 * padding - kh) // stride + 1, (wd + 2 * padding - kw) // stride + 1
+    if oh < 1 or ow < 1:
+        raise ShapeMismatch("conv2d", f"kernel {kh}x{kw} stride {stride} padding {padding} "
+                                      f"leaves no output positions on input {x.shape}")
     if cin != wcin:
         raise ShapeMismatch("conv2d", f"input channels {cin} (input {x.shape}) do not match "
                                       f"weight Cin {wcin} (weight {w.shape})")
@@ -480,54 +462,60 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
         g2 = g.reshape(-1, cout)
         gw = (g2.T @ cols).reshape(w.shape)
         gb = None if b is None else g2.sum(axis=0)
-        gx = None
-        if need_x:
-            gcols = (g2 @ wmat).reshape(bsz, oh, ow, cin, kh, kw)
-            gx = _scatter_taps(xp_shape, g.dtype, stride, padding,
-                               ((i, j, gcols[..., i, j]) for i in range(kh) for j in range(kw)))
-        return (gx, gw, gb)
+        if not need_x:
+            return (None, gw, gb)
+        gcols = (g2 @ wmat).reshape(bsz, oh, ow, cin, kh, kw)
+        gxp = np.zeros(xp_shape, dtype=g.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                gxp[:, _taps(i, stride, oh), _taps(j, stride, ow)] += gcols[..., i, j]
+        return (np.ascontiguousarray(gxp[:, padding:padding + h, padding:padding + wd]), gw, gb)
 
     record("conv2d", out, (x, w, b), vjp)
     return out
 
 
-def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
-                     padding: int = 0) -> Tensor:
-    """Per-channel cross-correlation of a channels-last (B, H, W, C) map, weight
-    (C, 1, kh, kw). The vjp re-pads x.data, read at backward time, and takes
-    its sliding window again for the weight gradient."""
-    oh, ow = _check_conv_args("depthwise_conv2d", x, w, stride, padding)
-    bsz, _, _, c = x.shape
-    wc, one, kh, kw = w.shape
-    if wc != c or one != 1:
-        raise ShapeMismatch("depthwise_conv2d", f"weight must be ({c}, 1, kh, kw) for input "
-                                                f"{x.shape}, got {w.shape}")
-    if b is not None and b.shape != (c,):
-        raise ShapeMismatch("depthwise_conv2d", f"bias shape {b.shape} must be ({c},)")
+def _same_windows(a: np.ndarray) -> np.ndarray:
+    """The 3x3 windows of a channels-last map zero-padded by 1: (B, H, W, C, 3, 3)."""
+    return sliding_window_view(_pad_map(a, 1), (3, 3), axis=(1, 2))
 
-    xp = _pad_map(x.data, padding)
-    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    y = np.zeros((bsz, oh, ow, c), dtype=xp.dtype)
-    wk = np.ascontiguousarray(np.moveaxis(w.data[:, 0], 0, -1))    # (kh, kw, C)
-    # _ROWS output rows at a time, so a tile's tap products stay in cache;
-    # every element still sums its taps in the same order
-    for r in range(0, oh, _ROWS):
+
+def _tap_sum(win: np.ndarray, wk: np.ndarray) -> np.ndarray:
+    """Sum over the taps (i, j), in (i, j) order, of wk[i, j] * win[..., i, j],
+    win (B, H, W, C, 3, 3) and wk (3, 3, C); _ROWS output rows at a time, so a
+    tile's tap products stay in cache."""
+    y = np.zeros(win.shape[:4], dtype=win.dtype)
+    for r in range(0, y.shape[1], _ROWS):
         tile = y[:, r:r + _ROWS]
-        for i in range(kh):
-            for j in range(kw):
+        for i in range(3):
+            for j in range(3):
                 tile += wk[i, j] * win[:, r:r + _ROWS, ..., i, j]
+    return y
+
+
+def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """3x3 per-channel cross-correlation of a channels-last (B, H, W, C) map,
+    weight (C, 1, 3, 3), stride 1 and zero padding 1: the output has x's shape.
+    The input gradient is the same tap sum over the padded gradient's windows
+    read in reverse, so each element adds its taps in the order a tap-by-tap
+    scatter would. The weight gradient re-pads x.data, read at backward time."""
+    if x.ndim != 4 or w.shape != (x.shape[3], 1, 3, 3):
+        raise ShapeMismatch("depthwise_conv2d", f"need a (B, H, W, C) input and a (C, 1, 3, 3) "
+                                                f"weight, got {x.shape} and {w.shape}")
+    if b is not None and b.shape != (x.shape[3],):
+        raise ShapeMismatch("depthwise_conv2d", f"bias shape {b.shape} must be ({x.shape[3]},)")
+
+    wk = np.ascontiguousarray(np.moveaxis(w.data[:, 0], 0, -1))    # (3, 3, C)
+    y = _tap_sum(_same_windows(x.data), wk)
     if b is not None:
         y += b.data
     out = Tensor(y, dtype=y.dtype)
 
     def vjp(g):
-        xp = _pad_map(x.data, padding)
-        win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-        gw = np.einsum("bhwc,bhwcij->cij", g, win, dtype=np.float64).astype(w.dtype)[:, None]
+        gw = np.einsum("bhwc,bhwcij->cij", g, _same_windows(x.data),
+                       dtype=np.float64).astype(w.dtype)[:, None]
         gb = None if b is None else _channel_sum(g)
-        gx = _scatter_taps(xp.shape, g.dtype, stride, padding,
-                           ((i, j, wk[i, j] * g) for i in range(kh) for j in range(kw)))
-        return (gx, gw, gb)
+        return (_tap_sum(_same_windows(g)[..., ::-1, ::-1], wk), gw, gb)
 
     record("depthwise_conv2d", out, (x, w, b), vjp)
     return out

@@ -166,7 +166,7 @@ class Conv2d(Module):
 
 
 class DepthwiseConv2d(Module):
-    """3x3 per-channel convolution, stride 1, padding 1 (shape-preserving)."""
+    """The 3x3 per-channel filter ad.depthwise_conv2d, stride 1, padding 1 (shape-preserving)."""
 
     def __init__(self, channels: int, *, bias: bool):
         super().__init__()
@@ -174,7 +174,7 @@ class DepthwiseConv2d(Module):
         self.bias = Tensor(np.zeros(channels), requires_grad=True) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        return ad.depthwise_conv2d(x, self.weight, self.bias, padding=1)
+        return ad.depthwise_conv2d(x, self.weight, self.bias)
 
 
 class Linear(Module):

@@ -7,15 +7,16 @@ final entry is exactly what evaluate() reports on the same model and data. A
 diverged run ends instead with a phase=diverged row, nan where not measured.
 
 The checkpoint file always holds the most recent finite state: it is
-written at initialization, every checkpoint_every steps and at the end. If
+written at initialization, every checkpoint_every steps and at the end
+(unless the last step just wrote it). If
 the loss or the gradient norm turns non-finite, or the forward pass meets a
 non-finite scan delta or state (NonFiniteStateError), the run aborts with
 TrainingDiverged before the update and the last written checkpoint stays on
 disk untouched. The scan backward checks nothing: a non-finite scan gradient
 shows up as a non-finite gradient norm. Before the first save, both output
 paths must lie in an existing directory and not be directories themselves
-(ValidationError otherwise), so a bad log path cannot replace a checkpoint
-already on disk.
+(ValidationError otherwise), and the log is opened and its header written,
+so a bad log path cannot replace a checkpoint already on disk.
 """
 
 from __future__ import annotations
@@ -96,11 +97,11 @@ def train(cfg: TrainConfig) -> TrainResult:
                 eps=cfg.eps, weight_decay=cfg.weight_decay)
     batch_rng = np.random.default_rng(cfg.seed)
 
-    save_checkpoint(model, cfg.checkpoint_path)
     first_loss = math.nan
     with open(cfg.log_path, "w", newline="") as logfile:
         log = csv.writer(logfile)
         log.writerow(["step", "phase", "loss", "accuracy", "grad_norm"])
+        save_checkpoint(model, cfg.checkpoint_path)
         model.train()
         for step in range(1, cfg.steps + 1):
             idx = batch_rng.integers(0, len(dataset), size=cfg.batch_size)
@@ -128,7 +129,8 @@ def train(cfg: TrainConfig) -> TrainResult:
             if step % cfg.checkpoint_every == 0:
                 save_checkpoint(model, cfg.checkpoint_path)
 
-        save_checkpoint(model, cfg.checkpoint_path)
+        if cfg.steps % cfg.checkpoint_every:     # else the last step just saved
+            save_checkpoint(model, cfg.checkpoint_path)
         eval_loss, eval_acc = evaluate(model, dataset, batch_size=max(cfg.batch_size, 64))
         log.writerow([cfg.steps, "eval", f"{eval_loss:.6f}", f"{eval_acc:.6f}", "0.000000"])
 

@@ -209,7 +209,7 @@ def _op_gradient_cases(rng):
     xc, wc, bc = nhwc(t(2, 3, 5, 5)), t(4, 3, 3, 3), t(4)
     wt_conv = nhwc(w(2, 4, 3, 3))
     xd, wd, bd = nhwc(t(2, 3, 5, 5)), t(3, 1, 3, 3), t(3)
-    wt_dw = nhwc(w(2, 3, 3, 3))
+    wt_dw = nhwc(w(2, 3, 5, 5))
     xl, wl, bl, wt_lin = t(2, 4), t(3, 4), t(3), w(2, 3)
     xb, gb, bb, wt_bn = nhwc(t(2, 3, 2, 2)), t(3, lo=0.5, hi=1.5), t(3), nhwc(w(2, 3, 2, 2))
     rm, rv = np.zeros(3), np.ones(3)
@@ -241,8 +241,7 @@ def _op_gradient_cases(rng):
         ("linear", lambda: weighted(ad.linear(xl, wl, bl), wt_lin), [xl, wl, bl]),
         ("conv2d", lambda: weighted(ad.conv2d(xc, wc, bc, stride=2, padding=1), wt_conv),
          [xc, wc, bc]),
-        ("depthwise_conv2d",
-         lambda: weighted(ad.depthwise_conv2d(xd, wd, bd, stride=2, padding=1), wt_dw),
+        ("depthwise_conv2d", lambda: weighted(ad.depthwise_conv2d(xd, wd, bd), wt_dw),
          [xd, wd, bd]),
         ("batch_norm",
          lambda: weighted(ad.batch_norm(xb, gb, bb, rm, rv, training=True), wt_bn),

@@ -60,21 +60,20 @@ def conv2d_loops(x, w, b, stride, padding):
     return y
 
 
-def depthwise_loops(x, w, b, stride, padding):
+def depthwise_loops(x, w, b):
+    """3x3 per-channel cross-correlation, stride 1 and zero padding 1, with
+    explicit loops."""
     bsz, c, h, wd = x.shape
-    _, _, kh, kw = w.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (wd + 2 * padding - kw) // stride + 1
-    y = np.zeros((bsz, c, oh, ow), dtype=x.dtype)
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    y = np.zeros((bsz, c, h, wd), dtype=x.dtype)
     for n in range(bsz):
         for ch in range(c):
-            for oy in range(oh):
-                for ox in range(ow):
+            for oy in range(h):
+                for ox in range(wd):
                     acc = 0.0
-                    for i in range(kh):
-                        for j in range(kw):
-                            acc += xp[n, ch, oy * stride + i, ox * stride + j] * w[ch, 0, i, j]
+                    for i in range(3):
+                        for j in range(3):
+                            acc += xp[n, ch, oy + i, ox + j] * w[ch, 0, i, j]
                     y[n, ch, oy, ox] = acc + (0.0 if b is None else b[ch])
     return y
 
@@ -252,8 +251,7 @@ class TestGradientRouting:
             "linear": ([(2, 3, 5), (4, 5), (4,)], ad.linear),
             "conv2d": ([(2, 5, 5, 3), (4, 3, 3, 3), (4,)],
                        lambda x, w, b: ad.conv2d(x, w, b, stride=2, padding=1)),
-            "depthwise_conv2d": ([(2, 5, 5, 3), (3, 1, 3, 3), (3,)],
-                                 lambda x, w, b: ad.depthwise_conv2d(x, w, b, padding=1)),
+            "depthwise_conv2d": ([(2, 5, 5, 3), (3, 1, 3, 3), (3,)], ad.depthwise_conv2d),
             "layer_norm": ([(2, 3, 5), (5,), (5,)], ad.layer_norm),
         }[op]
         data = [rng.normal(size=shape).astype(np.float32) for shape in shapes]
@@ -440,27 +438,37 @@ class TestConv2d:
 
 class TestDepthwiseConv2d:
     def test_matches_loop_oracle(self, rng):
-        for stride, padding in [(1, 1), (2, 1), (1, 0)]:
-            x = rng.normal(size=(2, 4, 6, 5))
-            w = rng.normal(size=(4, 1, 3, 3))
-            b = rng.normal(size=4)
-            y = ad.depthwise_conv2d(t64(nhwc(x)), t64(w), t64(b), stride=stride,
-                                    padding=padding)
-            np.testing.assert_allclose(nchw(y.data), depthwise_loops(x, w, b, stride, padding),
-                                       atol=1e-12)
+        x = rng.normal(size=(2, 4, 6, 5))
+        w = rng.normal(size=(4, 1, 3, 3))
+        b = rng.normal(size=4)
+        y = ad.depthwise_conv2d(t64(nhwc(x)), t64(w), t64(b))
+        assert y.shape == (2, 6, 5, 4)
+        np.testing.assert_allclose(nchw(y.data), depthwise_loops(x, w, b), atol=1e-12)
 
     def test_channels_stay_separate(self, rng):
         # zeroing one channel's kernel must zero exactly that output channel
         x = rng.normal(size=(1, 3, 5, 5))
         w = rng.normal(size=(3, 1, 3, 3))
         w[1] = 0.0
-        y = ad.depthwise_conv2d(t64(nhwc(x)), t64(w), padding=1)
+        y = ad.depthwise_conv2d(t64(nhwc(x)), t64(w))
         assert np.all(y.data[..., 1] == 0.0)
         assert np.any(y.data[..., 0] != 0.0)
 
     def test_weight_shape_validated(self):
         with pytest.raises(ShapeMismatch):
             ad.depthwise_conv2d(t64(np.zeros((1, 4, 4, 3))), t64(np.zeros((4, 1, 3, 3))))
+
+    @pytest.mark.parametrize("kernel", [(5, 5), (3, 1)])
+    def test_only_the_3x3_kernel(self, kernel):
+        with pytest.raises(ShapeMismatch):
+            ad.depthwise_conv2d(t64(np.zeros((1, 6, 6, 3))), t64(np.zeros((3, 1) + kernel)))
+
+    @pytest.mark.parametrize("knob", ["stride", "padding"])
+    def test_stride_and_padding_are_not_arguments(self, knob):
+        # the op is the model's one 3x3 "same" filter: stride 1, padding 1
+        with pytest.raises(TypeError):
+            ad.depthwise_conv2d(t64(np.zeros((1, 6, 6, 3))), t64(np.zeros((3, 1, 3, 3))),
+                                **{knob: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -692,14 +700,13 @@ class TestGradients:
 
         assert_grads_ok(f, [x, w, b])
 
-    @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1)])
-    def test_depthwise_conv2d(self, rng, stride, padding):
+    def test_depthwise_conv2d(self, rng):
         x = t64(nhwc(rng.normal(size=(2, 3, 5, 5))), name="x")
         w = t64(rng.normal(size=(3, 1, 3, 3)), name="w")
         b = t64(rng.normal(size=3), name="b")
 
         def f():
-            y = ad.depthwise_conv2d(x, w, b, stride=stride, padding=padding)
+            y = ad.depthwise_conv2d(x, w, b)
             return ad.sum_all(ad.mul(y, y))
 
         assert_grads_ok(f, [x, w, b])

@@ -1,0 +1,20 @@
+"""tools/bitdigest.py, the bit-identity digest of a few train steps."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bitdigest.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("bitdigest", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_nano_digest_is_reproducible():
+    tool = load_tool()
+    first = tool.digest(*tool.CONFIGS["nano@32"])
+    assert len(first) == 16 and int(first, 16) >= 0
+    assert tool.digest(*tool.CONFIGS["nano@32"]) == first

@@ -178,7 +178,7 @@ class TestMdmBlock:
         mb = block.mamba
         z = ad.conv2d(bn(x, block.norm1), mb.in_proj.weight, mb.in_proj.bias)
         z = ad.add_map(z, ad.moveaxis(ad.bilinear_resize(mb.pos_table, 3, 3), 0, 2))
-        z = ad.silu(ad.depthwise_conv2d(z, mb.dwconv.weight, mb.dwconv.bias, padding=1))
+        z = ad.silu(ad.depthwise_conv2d(z, mb.dwconv.weight, mb.dwconv.bias))
         z = ad.moveaxis(z, 3, 1)    # channels first: a token's features are a column
         mixed = None
         for path in path_table(3, 3):
@@ -196,8 +196,7 @@ class TestMdmBlock:
 
         t = ad.gelu(bn(ad.conv2d(bn(x1, block.norm2), block.mlp.expand.weight),
                        block.mlp.norm1))
-        t = ad.gelu(bn(ad.depthwise_conv2d(t, block.mlp.dwconv.weight, padding=1),
-                       block.mlp.norm2))
+        t = ad.gelu(bn(ad.depthwise_conv2d(t, block.mlp.dwconv.weight), block.mlp.norm2))
         expected = ad.add(x1, ad.conv2d(t, block.mlp.project.weight,
                                         block.mlp.project.bias))
         np.testing.assert_array_equal(got.data, expected.data)

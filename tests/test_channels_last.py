@@ -18,7 +18,8 @@ Batch norm's vjp rebuilds xhat from its input, and the depthwise vjp re-pads
 its input, instead of keeping either from the forward. One test checks that
 moving batch norm's running buffers between the forward and the backward
 leaves every gradient bit; another that a taped forward of either op holds
-about its output alone.
+about its output alone. The depthwise input gradient runs the forward's tap
+sum over the padded gradient, and its vjp peaks at about two input maps.
 
 An op builds its output one way whether or not a tape records: GELU, SiLU
 and batch norm write it over their own scratch buffer, and the depthwise
@@ -79,17 +80,14 @@ def conv2d_nchw(x, w, b, stride, padding):
     return y, vjp
 
 
-def depthwise_nchw(x, w, stride, padding):
-    """Per-channel cross-correlation of an NCHW map, no bias: (y, vjp(g) -> (gx, gw, gb)),
-    gb the gradient a bias would get."""
+def depthwise_nchw(x, w):
+    """3x3 per-channel cross-correlation of an NCHW map, stride 1 and padding 1,
+    no bias: (y, vjp(g) -> (gx, gw, gb)), gb the gradient a bias would get. The
+    input gradient scatters each tap's gradient into a zeroed padded map."""
     bsz, c, h, wd = x.shape
-    _, _, kh, kw = w.shape
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (wd + 2 * padding - kw) // stride + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    taps = [(i, j, xp[:, :, _window(i, stride, oh), _window(j, stride, ow)])
-            for i in range(kh) for j in range(kw)]
-    y = np.zeros((bsz, c, oh, ow), dtype=x.dtype)
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    taps = [(i, j, xp[:, :, i:i + h, j:j + wd]) for i in range(3) for j in range(3)]
+    y = np.zeros((bsz, c, h, wd), dtype=x.dtype)
     for i, j, v in taps:
         y += w[:, 0, i, j][None, :, None, None] * v
 
@@ -98,9 +96,8 @@ def depthwise_nchw(x, w, stride, padding):
         gxp = np.zeros(xp.shape, dtype=g.dtype)
         for i, j, v in taps:
             gw[:, 0, i, j] = (g * v).sum(axis=(0, 2, 3))
-            gxp[:, :, _window(i, stride, oh), _window(j, stride, ow)] += \
-                w[:, 0, i, j][None, :, None, None] * g
-        return gxp[:, :, padding:padding + h, padding:padding + wd], gw, g.sum(axis=(0, 2, 3))
+            gxp[:, :, i:i + h, j:j + wd] += w[:, 0, i, j][None, :, None, None] * g
+        return gxp[:, :, 1:1 + h, 1:1 + wd], gw, g.sum(axis=(0, 2, 3))
 
     return y, vjp
 
@@ -169,13 +166,13 @@ CONV_CASES = [
     ((1, 32, 112, 112), 128, 1, 1, 0),
     ((1, 576, 14, 14), 288, 1, 1, 0),
 ]
-# (NCHW input shape, stride), padding 1: the nano and S@448 maps, then output
-# heights of 1, 3, 5 and 7 rows, which the forward's row tile does not divide
-# or is taller than, and a stride-2 map with 7 output rows
-DEPTHWISE_CASES = [((32, 64, 8, 8), 1), ((32, 256, 2, 2), 1), ((4, 128, 4, 4), 1),
-                   ((1, 128, 112, 112), 1), ((1, 576, 14, 14), 1),
-                   ((2, 16, 1, 5), 1), ((4, 32, 3, 3), 1), ((2, 24, 5, 7), 1),
-                   ((1, 576, 7, 7), 1), ((2, 32, 14, 13), 2)]
+# NCHW input shapes: the nano and S@448 maps; heights of 1, 3, 5 and 7 rows,
+# which the tap sum's row tile does not divide or is taller than; then the
+# four stage maps of an S@224 batch-2 train step
+DEPTHWISE_CASES = [(32, 64, 8, 8), (32, 256, 2, 2), (4, 128, 4, 4),
+                   (1, 128, 112, 112), (1, 576, 14, 14),
+                   (2, 16, 1, 5), (4, 32, 3, 3), (2, 24, 5, 7), (1, 576, 7, 7),
+                   (2, 128, 56, 56), (2, 256, 28, 28), (2, 576, 14, 14), (2, 1152, 7, 7)]
 DTYPES = [np.float32, np.float64]
 
 
@@ -199,27 +196,24 @@ def test_conv2d_keeps_every_bit(shape, cout, k, stride, padding, dtype):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("shape,stride", DEPTHWISE_CASES,
+@pytest.mark.parametrize("shape", DEPTHWISE_CASES,
                          ids=[f"shape{i}" for i in range(len(DEPTHWISE_CASES))])
-def test_depthwise_keeps_every_bit(shape, stride, dtype):
+def test_depthwise_keeps_every_bit(shape, dtype):
     rng = np.random.default_rng(sum(shape))
     x = rng.standard_normal(shape).astype(dtype)
     w = rng.standard_normal((shape[1], 1, 3, 3)).astype(dtype)
     b = np.zeros(shape[1], dtype)
-    ref, ref_vjp = depthwise_nchw(x, w, stride, 1)
+    ref, ref_vjp = depthwise_nchw(x, w)
     g = rng.standard_normal(ref.shape).astype(dtype)
-    y, gx, (gw, gb) = run_op(lambda t, wt, bt: ad.depthwise_conv2d(t, wt, bt, stride=stride,
-                                                                  padding=1),
-                             nhwc(x), [w, b], nhwc(g))
+    y, gx, (gw, gb) = run_op(ad.depthwise_conv2d, nhwc(x), [w, b], nhwc(g))
     ref_gx, _, _ = ref_vjp(g)
     np.testing.assert_array_equal(y, nhwc(ref))
     np.testing.assert_array_equal(gx, nhwc(ref_gx))
     xp = np.pad(nhwc(x), ((0, 0), (1, 1), (1, 1), (0, 0)))
-    oh, ow = ref.shape[2:]
+    h, wd = shape[2:]
     for i in range(3):
         for j in range(3):
-            tap = xp[:, _window(i, stride, oh), _window(j, stride, ow)]
-            assert_channel_sums_close(gw[:, 0, i, j], nhwc(g), tap)
+            assert_channel_sums_close(gw[:, 0, i, j], nhwc(g), xp[:, i:i + h, j:j + wd])
     assert_channel_sums_close(gb, nhwc(g), np.ones_like(nhwc(g)))
 
 
@@ -311,7 +305,7 @@ def forward_ops(rng, channels, dtype):
         "softplus": (ad.softplus, []),
         "batch_norm": (lambda t: ad.batch_norm(t, gt, betat, mean, var, training=False),
                        [gamma, beta, mean, var]),
-        "depthwise_conv2d": (lambda t: ad.depthwise_conv2d(t, wt, bt, padding=1), [w, b]),
+        "depthwise_conv2d": (lambda t: ad.depthwise_conv2d(t, wt, bt), [w, b]),
     }
 
 
@@ -369,7 +363,7 @@ def test_taped_forward_holds_about_one_output(name):
     beta = Tensor(rng.standard_normal(c), requires_grad=True)
     mean, var = np.zeros(c, np.float32), np.ones(c, np.float32)
     op = {"batch_norm": lambda t: ad.batch_norm(t, gamma, beta, mean, var, training=True),
-          "depthwise_conv2d": lambda t: ad.depthwise_conv2d(t, w, beta, padding=1)}[name]
+          "depthwise_conv2d": lambda t: ad.depthwise_conv2d(t, w, beta)}[name]
     x = Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
     tracemalloc.start()
     try:
@@ -380,6 +374,28 @@ def test_taped_forward_holds_about_one_output(name):
         tracemalloc.stop()
     assert len(tape) == 1
     assert current <= 1.1 * y.data.nbytes, current / y.data.nbytes
+
+
+def test_depthwise_vjp_holds_about_two_input_maps():
+    # the input gradient pads the output gradient and runs the forward's tap
+    # sum over it; the padded input the weight gradient reads is gone by then
+    shape = (2, 56, 56, 128)
+    c = shape[-1]
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.standard_normal((c, 1, 3, 3)).astype(np.float32), requires_grad=True)
+    with Tape():
+        y = ad.depthwise_conv2d(x, w)
+    vjp = y._node.vjp
+    g = rng.standard_normal(shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        gx, _, _ = vjp(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gx.shape == shape
+    assert peak <= 2.5 * x.data.nbytes, peak / x.data.nbytes
 
 
 def test_taped_conv_mlp_holds_what_its_vjps_read():

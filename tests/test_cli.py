@@ -11,6 +11,7 @@ import io
 import numpy as np
 import pytest
 
+import vcmamba.checks as checks
 import vcmamba.cli as cli
 from vcmamba.cli import main
 from vcmamba.model import PRESETS, VCMamba, count_macs, count_params
@@ -78,6 +79,21 @@ class TestCheck:
         assert len(body) == 14
         assert all(",PASS," in line for line in body)
 
+    @pytest.mark.parametrize("trials,expected", [(3, [3, 3, 3, 3, 3]),
+                                                 (1000, [10, 100, 50, 20, 10])])
+    def test_trials_caps_every_stochastic_suite(self, monkeypatch, trials, expected):
+        # --trials N runs min(N, default) trials of each of the five suites
+        called = {}
+        for name in [n for n in vars(checks) if n.startswith("check_")]:
+            def stub(*args, _name=name):
+                called[_name] = args
+                return checks.CheckResult(_name, True, "")
+            monkeypatch.setattr(checks, name, stub)
+        checks.run_all(trials=trials)
+        stochastic = ["check_gather_scatter", "check_parallel_equivalence",
+                      "check_direction_oracle", "check_kernel_stability", "check_kernel_causality"]
+        assert [called[n] for n in stochastic] == [(n,) for n in expected]
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_trials_below_one_is_a_usage_error(self, trials, capsys):
         assert main(["check", "--trials", trials]) == 1
@@ -138,6 +154,19 @@ n_samples = 16
                        f"log = {tmp_path / 'missing' / 'log.csv'}\n")
         assert main(["train", "--config", str(cfg)]) == 1
         assert "does not exist" in capsys.readouterr().err
+        assert ckpt.read_bytes() == b"last-good checkpoint"
+
+    def test_unopenable_log_keeps_the_checkpoint(self, tmp_path, capsys):
+        # the log lies in an existing directory but is a dangling symlink into a
+        # missing one: opening it fails, and it is opened before the step-0 save
+        ckpt = tmp_path / "m.ckpt"
+        ckpt.write_bytes(b"last-good checkpoint")
+        log = tmp_path / "log.csv"
+        log.symlink_to(tmp_path / "missing" / "log.csv")
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(f"[train]\nsteps = 1\ncheckpoint = {ckpt}\nlog = {log}\n")
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert "vcmamba:" in capsys.readouterr().err
         assert ckpt.read_bytes() == b"last-good checkpoint"
 
     def test_missing_config_file(self, tmp_path, capsys):

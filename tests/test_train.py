@@ -22,7 +22,7 @@ import pytest
 
 import vcmamba.autodiff as ad
 from vcmamba.autodiff import Tape, Tensor, backward
-from vcmamba.checkpoint import load_checkpoint
+from vcmamba.checkpoint import load_checkpoint, save_checkpoint
 from vcmamba.config import TrainConfig, ValidationError, load_train_config
 from vcmamba.data import ToyDataset
 from vcmamba.model import VCMamba, get_preset
@@ -304,6 +304,23 @@ class TestTrainLoop:
         with pytest.raises(ValidationError, match="is a directory"):
             train(small_cfg(tmp_path, checkpoint_path=str(tmp_path)))
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("steps,saves", [(4, 3), (5, 4)])
+    def test_closing_save_only_when_the_last_step_did_not_save(self, tmp_path, monkeypatch,
+                                                               steps, saves):
+        # step 0, every second step, and at the end unless the last step saved
+        models = []
+
+        def counting_save(model, path):
+            models.append(model)
+            save_checkpoint(model, path)
+
+        monkeypatch.setattr(train_module, "save_checkpoint", counting_save)
+        cfg = small_cfg(tmp_path, steps=steps, checkpoint_every=2)
+        train(cfg)
+        assert len(models) == saves
+        save_checkpoint(models[-1], str(tmp_path / "final.ckpt"))   # the trained weights
+        assert (tmp_path / "final.ckpt").read_bytes() == Path(cfg.checkpoint_path).read_bytes()
 
     def test_loss_decreases_over_short_run(self, tmp_path):
         cfg = small_cfg(tmp_path, steps=30, batch_size=8, n_samples=32,

@@ -11,10 +11,12 @@ checks run in float64). Broadcasting is deliberately narrow: scalar ops,
 channel bias adds and the spatial-map add broadcast, every other elementwise
 binary op requires exactly matching shapes and raises ShapeMismatch
 otherwise. The convolutions, batch norm and the map add take channels-last
-(B, H, W, C) maps; global_avg_pool takes (B, C, H, W). Their backward stays in
-that layout: per-channel gradient sums read the rows into a float64
-accumulator, conv2d scatters its input gradient tap by tap, and
-depthwise_conv2d runs its forward's tap sum over the padded gradient.
+(B, H, W, C) maps; global_avg_pool takes (B, C, H, W). conv2d is the model's
+one 3x3 stride-2 conv and depthwise_conv2d its one 3x3 "same" filter; a 1x1
+conv is linear on each position's channels. Their backward stays in that
+layout: per-channel gradient sums read the rows into a float64 accumulator,
+conv2d scatters its input gradient tap by tap, and depthwise_conv2d runs its
+forward's tap sum over the padded gradient.
 
 The tape decides, the ops compute. recording(*inputs) alone says whether an
 op records: a tape is active and some input requires a gradient. An op builds
@@ -389,9 +391,12 @@ def softplus(a: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w.T + b with x of shape (..., Din) and w of shape (Dout, Din)."""
-    if w.ndim != 2:
-        raise ShapeMismatch("linear", f"weight must be 2-D (Dout, Din), got {w.shape}")
+    """x @ w.T + b with x of shape (..., Din) and w of shape (Dout, Din), or a
+    pointwise-conv weight (Dout, Din, 1, 1): a 1x1 conv of a channels-last map
+    is this product on each position's channels."""
+    if w.ndim not in (2, 4) or w.shape[2:] not in ((), (1, 1)):
+        raise ShapeMismatch("linear", f"weight must be (Dout, Din) or (Dout, Din, 1, 1), "
+                                      f"got {w.shape}")
     if x.shape[-1] != w.shape[1]:
         raise ShapeMismatch("linear", f"input features {x.shape[-1]} (input {x.shape}) do not "
                                       f"match weight Din {w.shape[1]} (weight {w.shape})")
@@ -399,61 +404,39 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise ShapeMismatch("linear", f"bias shape {b.shape} must be ({w.shape[0]},)")
     lead = x.shape[:-1]
     x2 = x.data.reshape(-1, x.shape[-1])
-    y2 = x2 @ w.data.T
+    wmat = w.data.reshape(w.shape[:2])
+    y2 = x2 @ wmat.T
     if b is not None:
-        y2 = y2 + b.data
+        y2 += b.data
     out = Tensor(y2.reshape(lead + (w.shape[0],)), dtype=y2.dtype)
 
     def vjp(g):
         g2 = g.reshape(-1, g.shape[-1])
-        return ((g2 @ w.data).reshape(x.shape), g2.T @ x2,
+        return ((g2 @ wmat).reshape(x.shape), (g2.T @ x2).reshape(w.shape),
                 None if b is None else g2.sum(axis=0))
 
     record("linear", out, (x, w, b), vjp)
     return out
 
 
-def _taps(i: int, stride: int, n_out: int) -> slice:
-    """The input rows (or columns) that kernel tap i reads for n_out outputs."""
-    return slice(i, i + stride * (n_out - 1) + 1, stride)
-
-
-def _pad_map(a: np.ndarray, padding: int) -> np.ndarray:
-    return np.pad(a, ((0, 0), (padding, padding), (padding, padding), (0, 0))) if padding else a
-
-
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
-           padding: int = 0) -> Tensor:
-    """Cross-correlation of a channels-last (B, H, W, Cin) map, weight (Cout, Cin,
-    kh, kw); no kernel flip. One gemm of the patch matrix, rows (b, oh, ow) and
-    columns (cin, kh, kw), whose (B*oh*ow, Cout) result is already channels-last."""
-    if x.ndim != 4 or w.ndim != 4:
-        raise ShapeMismatch("conv2d", f"need 4-D input and weight, got {x.shape} and {w.shape}")
-    if stride < 1 or padding < 0:
-        raise ShapeMismatch("conv2d", f"stride must be >= 1 and padding >= 0, got {stride}, "
-                                      f"{padding}")
+def conv2d(x: Tensor, w: Tensor) -> Tensor:
+    """3x3 cross-correlation of a channels-last (B, H, W, Cin) map at stride 2
+    and zero padding 1, weight (Cout, Cin, 3, 3), no bias and no kernel flip:
+    the stem's and the downsamplers' conv. One gemm of the patch matrix, rows
+    (b, oh, ow) and columns (cin, kh, kw), whose (B*oh*ow, Cout) result is
+    already channels-last; the vjp scatters its input gradient tap by tap."""
+    if x.ndim != 4 or w.ndim != 4 or w.shape[1:] != (x.shape[3], 3, 3):
+        raise ShapeMismatch("conv2d", f"need a (B, H, W, Cin) input and a (Cout, Cin, 3, 3) "
+                                      f"weight, got {x.shape} and {w.shape}")
     bsz, h, wd, cin = x.shape
-    cout, wcin, kh, kw = w.shape
-    oh, ow = (h + 2 * padding - kh) // stride + 1, (wd + 2 * padding - kw) // stride + 1
-    if oh < 1 or ow < 1:
-        raise ShapeMismatch("conv2d", f"kernel {kh}x{kw} stride {stride} padding {padding} "
-                                      f"leaves no output positions on input {x.shape}")
-    if cin != wcin:
-        raise ShapeMismatch("conv2d", f"input channels {cin} (input {x.shape}) do not match "
-                                      f"weight Cin {wcin} (weight {w.shape})")
-    if b is not None and b.shape != (cout,):
-        raise ShapeMismatch("conv2d", f"bias shape {b.shape} must be ({cout},)")
-
-    xp = _pad_map(x.data, padding)
-    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    cols = np.ascontiguousarray(win).reshape(bsz * oh * ow, cin * kh * kw)
-    wmat = w.data.reshape(cout, cin * kh * kw)
+    cout = w.shape[0]
+    win = _same_windows(x.data)[:, ::2, ::2]
+    oh, ow = win.shape[1:3]
+    cols = np.ascontiguousarray(win).reshape(bsz * oh * ow, cin * 9)
+    wmat = w.data.reshape(cout, cin * 9)
     y = cols @ wmat.T
-    if b is not None:
-        y += b.data
     out = Tensor(y.reshape(bsz, oh, ow, cout), dtype=y.dtype)
 
-    xp_shape = xp.shape
     # the stem's images are the one input in the program that needs no
     # gradient; their gemm and scatter would be a full-resolution waste a step
     need_x = x.requires_grad
@@ -461,23 +444,22 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
     def vjp(g):
         g2 = g.reshape(-1, cout)
         gw = (g2.T @ cols).reshape(w.shape)
-        gb = None if b is None else g2.sum(axis=0)
         if not need_x:
-            return (None, gw, gb)
-        gcols = (g2 @ wmat).reshape(bsz, oh, ow, cin, kh, kw)
-        gxp = np.zeros(xp_shape, dtype=g.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, _taps(i, stride, oh), _taps(j, stride, ow)] += gcols[..., i, j]
-        return (np.ascontiguousarray(gxp[:, padding:padding + h, padding:padding + wd]), gw, gb)
+            return (None, gw)
+        gcols = (g2 @ wmat).reshape(bsz, oh, ow, cin, 3, 3)
+        gxp = np.zeros((bsz, h + 2, wd + 2, cin), dtype=g.dtype)
+        for i in range(3):
+            for j in range(3):
+                gxp[:, i:i + 2 * oh:2, j:j + 2 * ow:2] += gcols[..., i, j]
+        return (np.ascontiguousarray(gxp[:, 1:1 + h, 1:1 + wd]), gw)
 
-    record("conv2d", out, (x, w, b), vjp)
+    record("conv2d", out, (x, w), vjp)
     return out
 
 
 def _same_windows(a: np.ndarray) -> np.ndarray:
     """The 3x3 windows of a channels-last map zero-padded by 1: (B, H, W, C, 3, 3)."""
-    return sliding_window_view(_pad_map(a, 1), (3, 3), axis=(1, 2))
+    return sliding_window_view(np.pad(a, ((0, 0), (1, 1), (1, 1), (0, 0))), (3, 3), axis=(1, 2))
 
 
 def _tap_sum(win: np.ndarray, wk: np.ndarray) -> np.ndarray:

@@ -12,14 +12,16 @@ direction-aware scan mix and projects back.
 
 Convolutions directly followed by a BN carry no bias. The stem takes (B, 3, H, W)
 images and moves them to channels-last once; every block after it takes and
-returns a channels-last (B, H, W, C) map.
+returns a channels-last (B, H, W, C) map. On that layout a 1x1 conv
+(PointwiseConv) is a linear map of each position's channels; the 3x3 stride-2
+Conv2d serves only the stem and the downsamplers.
 """
 
 from __future__ import annotations
 
 from . import autodiff as ad
 from .autodiff import ShapeMismatch, Tensor
-from .nn import BatchNorm2d, Conv2d, DepthwiseConv2d, LayerNorm, Module
+from .nn import BatchNorm2d, Conv2d, DepthwiseConv2d, LayerNorm, Module, PointwiseConv
 from .ssm import SsmParams, directional_scan_sum
 
 FFN_EXPANSION = 4     # ConvMlp hidden width, in multiples of the block channels
@@ -30,9 +32,9 @@ class Stem(Module):
     def __init__(self, out_channels: int):
         super().__init__()
         mid = max(1, out_channels // 2)
-        self.conv1 = Conv2d(3, mid, 3, stride=2, bias=False)
+        self.conv1 = Conv2d(3, mid)
         self.norm1 = BatchNorm2d(mid)
-        self.conv2 = Conv2d(mid, out_channels, 3, stride=2, bias=False)
+        self.conv2 = Conv2d(mid, out_channels)
         self.norm2 = BatchNorm2d(out_channels)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -48,11 +50,11 @@ class ConvMlp(Module):
     def __init__(self, channels: int):
         super().__init__()
         hidden = channels * FFN_EXPANSION
-        self.expand = Conv2d(channels, hidden, 1, bias=False)
+        self.expand = PointwiseConv(channels, hidden, bias=False)
         self.norm1 = BatchNorm2d(hidden)
         self.dwconv = DepthwiseConv2d(hidden, bias=False)
         self.norm2 = BatchNorm2d(hidden)
-        self.project = Conv2d(hidden, channels, 1, bias=True)
+        self.project = PointwiseConv(hidden, channels, bias=True)
 
     def forward(self, x: Tensor) -> Tensor:
         x = ad.gelu(self.norm1(self.expand(x)))
@@ -72,7 +74,7 @@ class FfnBlock(Module):
 class DownsampleLayer(Module):
     def __init__(self, in_channels: int, out_channels: int):
         super().__init__()
-        self.conv = Conv2d(in_channels, out_channels, 3, stride=2, bias=False)
+        self.conv = Conv2d(in_channels, out_channels)
         self.norm = BatchNorm2d(out_channels)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -91,12 +93,12 @@ class MambaBranch(Module):
         if gh < 1 or gw < 1:
             raise ValueError(f"native grid must be positive, got {native_grid}")
         self.d_inner = d_inner
-        self.in_proj = Conv2d(channels, d_inner, 1, bias=True)
+        self.in_proj = PointwiseConv(channels, d_inner, bias=True)
         self.declare("pos_table", (d_inner, gh, gw))
         self.dwconv = DepthwiseConv2d(d_inner, bias=True)
         self.ssm = SsmParams(d_inner, n_state)
         self.mix_norm = LayerNorm(d_inner)
-        self.out_proj = Conv2d(d_inner, channels, 1, bias=False)
+        self.out_proj = PointwiseConv(d_inner, channels, bias=False)
         self.out_norm = BatchNorm2d(channels)
 
     def forward(self, x: Tensor) -> Tensor:

@@ -5,7 +5,9 @@ error metric is mixed absolute/relative,
 
     err = |analytic - numeric| / max(1, |analytic|, |numeric|),
 
-so tiny gradients are compared absolutely and large ones relatively.
+so tiny gradients are compared absolutely and large ones relatively. A
+non-finite analytic or numeric value counts as an infinite error: it fails
+the check and is reported as the worst coordinate.
 """
 
 from __future__ import annotations
@@ -49,7 +51,9 @@ def finite_diff_check(f: Callable[[], Tensor], wrt: Sequence[Tensor], *,
     are perturbed in place and restored. f must be deterministic given wrt
     (running-stat bookkeeping aside). When max_coords_per_tensor is set, a
     subsample of coordinates drawn from rng, which must then be given, is
-    checked per tensor; otherwise every coordinate is swept.
+    checked per tensor; otherwise every coordinate is swept. The report
+    labels each tensor by its name (arg<i> if unnamed), with #<i>, its position
+    in wrt, appended where several share the name.
     """
     wrt = list(wrt)
     if not wrt:
@@ -75,8 +79,9 @@ def finite_diff_check(f: Callable[[], Tensor], wrt: Sequence[Tensor], *,
     worst = ("", ())
     n_checked = 0
     per_tensor: dict[str, float] = {}
+    names = [t.name or f"arg{i}" for i, t in enumerate(wrt)]
     for i, t in enumerate(wrt):
-        label = t.name or f"arg{i}"
+        label = names[i] if names.count(names[i]) == 1 else f"{names[i]}#{i}"
         flat = t.data.reshape(-1)
         coords = np.arange(flat.size)
         if max_coords_per_tensor is not None and flat.size > max_coords_per_tensor:
@@ -92,6 +97,8 @@ def finite_diff_check(f: Callable[[], Tensor], wrt: Sequence[Tensor], *,
             numeric = (up - down) / (2.0 * STEP)
             a = analytic[i].reshape(-1)[c]
             err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
+            if not np.isfinite(err):
+                err = np.inf
             n_checked += 1
             if err > t_err:
                 t_err = err

@@ -153,16 +153,28 @@ class ModuleList(Module):
 
 
 class Conv2d(Module):
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int, *,
-                 stride: int = 1, bias: bool = True):
+    """The 3x3 stride-2 conv ad.conv2d, padding 1 and no bias: the stem's and
+    the downsamplers' conv, each followed by a BN."""
+
+    def __init__(self, in_channels: int, out_channels: int):
         super().__init__()
-        self.stride = stride
-        self.padding = kernel_size // 2      # 3x3 pads 1, 1x1 pads 0
-        self.declare("weight", (out_channels, in_channels, kernel_size, kernel_size))
+        self.declare("weight", (out_channels, in_channels, 3, 3))
+
+    def forward(self, x: Tensor) -> Tensor:
+        return ad.conv2d(x, self.weight)
+
+
+class PointwiseConv(Module):
+    """A 1x1 conv of a channels-last map: ad.linear on each position's
+    channels. The weight keeps the conv shape (out, in, 1, 1) checkpoints store."""
+
+    def __init__(self, in_channels: int, out_channels: int, *, bias: bool):
+        super().__init__()
+        self.declare("weight", (out_channels, in_channels, 1, 1))
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        return ad.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
+        return ad.linear(x, self.weight, self.bias)
 
 
 class DepthwiseConv2d(Module):

@@ -206,7 +206,7 @@ def _op_gradient_cases(rng):
     x235 = t(2, 3, 5)
     wt65, wt253, wt234 = w(6, 5), w(2, 5, 3), w(2, 3, 4)
     idx = np.array([4, 0, 0, 2])
-    xc, wc, bc = nhwc(t(2, 3, 5, 5)), t(4, 3, 3, 3), t(4)
+    xc, wc = nhwc(t(2, 3, 5, 5)), t(4, 3, 3, 3)
     wt_conv = nhwc(w(2, 4, 3, 3))
     xd, wd, bd = nhwc(t(2, 3, 5, 5)), t(3, 1, 3, 3), t(3)
     wt_dw = nhwc(w(2, 3, 5, 5))
@@ -239,8 +239,7 @@ def _op_gradient_cases(rng):
         ("silu", lambda: weighted(ad.silu(x23), wt23), [x23]),
         ("softplus", lambda: weighted(ad.softplus(x23), wt23), [x23]),
         ("linear", lambda: weighted(ad.linear(xl, wl, bl), wt_lin), [xl, wl, bl]),
-        ("conv2d", lambda: weighted(ad.conv2d(xc, wc, bc, stride=2, padding=1), wt_conv),
-         [xc, wc, bc]),
+        ("conv2d", lambda: weighted(ad.conv2d(xc, wc), wt_conv), [xc, wc]),
         ("depthwise_conv2d", lambda: weighted(ad.depthwise_conv2d(xd, wd, bd), wt_dw),
          [xd, wd, bd]),
         ("batch_norm",

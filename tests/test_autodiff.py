@@ -39,13 +39,13 @@ def assert_grads_ok(f, wrt, **kw):
 # independent oracles
 
 
-def conv2d_loops(x, w, b, stride, padding):
-    """Cross-correlation with explicit loops; the comparison oracle."""
+def conv2d_loops(x, w):
+    """3x3 cross-correlation at stride 2 and zero padding 1, with explicit
+    loops; the comparison oracle."""
     bsz, cin, h, wd = x.shape
-    cout, _, kh, kw = w.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (wd + 2 * padding - kw) // stride + 1
+    cout = w.shape[0]
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    oh, ow = (h - 1) // 2 + 1, (wd - 1) // 2 + 1
     y = np.zeros((bsz, cout, oh, ow), dtype=x.dtype)
     for n in range(bsz):
         for co in range(cout):
@@ -53,10 +53,10 @@ def conv2d_loops(x, w, b, stride, padding):
                 for ox in range(ow):
                     acc = 0.0
                     for ci in range(cin):
-                        for i in range(kh):
-                            for j in range(kw):
-                                acc += xp[n, ci, oy * stride + i, ox * stride + j] * w[co, ci, i, j]
-                    y[n, co, oy, ox] = acc + (0.0 if b is None else b[co])
+                        for i in range(3):
+                            for j in range(3):
+                                acc += xp[n, ci, 2 * oy + i, 2 * ox + j] * w[co, ci, i, j]
+                    y[n, co, oy, ox] = acc
     return y
 
 
@@ -249,8 +249,7 @@ class TestGradientRouting:
         # every vjp computes all of its gradients; backward drops the one no link wants
         shapes, f = {
             "linear": ([(2, 3, 5), (4, 5), (4,)], ad.linear),
-            "conv2d": ([(2, 5, 5, 3), (4, 3, 3, 3), (4,)],
-                       lambda x, w, b: ad.conv2d(x, w, b, stride=2, padding=1)),
+            "conv2d": ([(2, 5, 5, 3), (4, 3, 3, 3)], ad.conv2d),
             "depthwise_conv2d": ([(2, 5, 5, 3), (3, 1, 3, 3), (3,)], ad.depthwise_conv2d),
             "layer_norm": ([(2, 3, 5), (5,), (5,)], ad.layer_norm),
         }[op]
@@ -401,39 +400,39 @@ class TestLinear:
             ad.linear(t64(np.zeros((2, 3))), t64(np.zeros((4, 5))))
         assert "3" in str(err.value) and "5" in str(err.value)
 
+    @pytest.mark.parametrize("shape", [(5,), (4, 5, 3, 3), (4, 5, 1), (4, 5, 1, 2)])
+    def test_rejects_weights_that_are_not_a_matrix(self, shape):
+        with pytest.raises(ShapeMismatch):
+            ad.linear(t64(np.zeros((2, 5))), t64(np.zeros(shape)))
+
 
 class TestConv2d:
-    def test_ones_kernel_counts_window(self):
-        x = t64(np.ones((1, 3, 3, 1)))
-        w = t64(np.ones((1, 1, 2, 2)))
-        y = ad.conv2d(x, w)
-        np.testing.assert_array_equal(y.data, np.full((1, 2, 2, 1), 4.0))
-
     def test_matches_loop_oracle(self, rng):
-        for stride, padding, kh, kw in [(1, 0, 3, 3), (2, 1, 3, 3), (1, 2, 2, 3), (3, 0, 1, 1)]:
-            x = rng.normal(size=(2, 3, 7, 6))
-            w = rng.normal(size=(4, 3, kh, kw))
-            b = rng.normal(size=4)
-            y = ad.conv2d(t64(nhwc(x)), t64(w), t64(b), stride=stride, padding=padding)
-            np.testing.assert_allclose(nchw(y.data), conv2d_loops(x, w, b, stride, padding),
-                                       atol=1e-10)
+        x = rng.normal(size=(2, 3, 7, 6))
+        w = rng.normal(size=(4, 3, 3, 3))
+        y = ad.conv2d(t64(nhwc(x)), t64(w))
+        np.testing.assert_allclose(nchw(y.data), conv2d_loops(x, w), atol=1e-10)
 
     def test_output_shape_formula(self, rng):
-        for h, wd, k, s, p in [(11, 7, 3, 2, 1), (8, 8, 5, 3, 2), (6, 9, 1, 1, 0)]:
-            x = t64(rng.normal(size=(1, h, wd, 2)))
-            w = t64(rng.normal(size=(3, 2, k, k)))
-            y = ad.conv2d(x, w, stride=s, padding=p)
-            oh = (h + 2 * p - k) // s + 1
-            ow = (wd + 2 * p - k) // s + 1
-            assert y.shape == (1, oh, ow, 3)
-
-    def test_kernel_larger_than_input_raises(self):
-        with pytest.raises(ShapeMismatch):
-            ad.conv2d(t64(np.zeros((1, 1, 2, 2))), t64(np.zeros((1, 1, 5, 5))))
+        x = t64(rng.normal(size=(1, 11, 7, 2)))
+        y = ad.conv2d(x, t64(rng.normal(size=(3, 2, 3, 3))))
+        assert y.shape == (1, (11 + 2 - 3) // 2 + 1, (7 + 2 - 3) // 2 + 1, 3)
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ShapeMismatch):
             ad.conv2d(t64(np.zeros((1, 4, 4, 3))), t64(np.zeros((2, 4, 3, 3))))
+
+    @pytest.mark.parametrize("kernel", [(1, 1), (5, 5), (3, 1)])
+    def test_only_the_3x3_kernel(self, kernel):
+        with pytest.raises(ShapeMismatch):
+            ad.conv2d(t64(np.zeros((1, 6, 6, 3))), t64(np.zeros((2, 3) + kernel)))
+
+    @pytest.mark.parametrize("knob", ["stride", "padding", "b"])
+    def test_stride_and_padding_are_not_arguments(self, knob):
+        # the op is the model's one 3x3 conv: stride 2, padding 1, no bias
+        with pytest.raises(TypeError):
+            ad.conv2d(t64(np.zeros((1, 6, 6, 3))), t64(np.zeros((2, 3, 3, 3))),
+                      **{knob: t64(np.zeros(2)) if knob == "b" else 1})
 
 
 class TestDepthwiseConv2d:
@@ -688,17 +687,15 @@ class TestGradients:
 
         assert_grads_ok(f, [x, w, b])
 
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), (1, 2)])
-    def test_conv2d(self, rng, stride, padding):
+    def test_conv2d(self, rng):
         x = t64(nhwc(rng.normal(size=(2, 2, 5, 4))), name="x")
-        w = t64(rng.normal(size=(3, 2, 3, 2)), name="w")
-        b = t64(rng.normal(size=3), name="b")
+        w = t64(rng.normal(size=(3, 2, 3, 3)), name="w")
 
         def f():
-            y = ad.conv2d(x, w, b, stride=stride, padding=padding)
+            y = ad.conv2d(x, w)
             return ad.sum_all(ad.mul(y, y))
 
-        assert_grads_ok(f, [x, w, b])
+        assert_grads_ok(f, [x, w])
 
     def test_depthwise_conv2d(self, rng):
         x = t64(nhwc(rng.normal(size=(2, 3, 5, 5))), name="x")

@@ -3,9 +3,9 @@
 The references below are the earlier NCHW implementations of conv2d,
 depthwise_conv2d and training-mode batch_norm, forward and vjp, written out
 in plain numpy. The new layout keeps their bits in every forward output, the
-running statistics and the gradients of conv2d, and the depthwise input
-gradient. The batch-norm statistics are still taken over a (B, C, H, W) copy
-for that.
+running statistics, the gradients of the convs (the pointwise ones now run as
+linear) and the depthwise input gradient. The batch-norm statistics are still
+taken over a (B, C, H, W) copy for that.
 
 The per-channel gradient sums over B*H*W (batch norm's gamma and beta
 gradients, the depthwise weight and bias gradients) read the channels-last
@@ -19,7 +19,8 @@ its input, instead of keeping either from the forward. One test checks that
 moving batch norm's running buffers between the forward and the backward
 leaves every gradient bit; another that a taped forward of either op holds
 about its output alone. The depthwise input gradient runs the forward's tap
-sum over the padded gradient, and its vjp peaks at about two input maps.
+sum over the padded gradient, and its vjp peaks at about two input maps; a
+pointwise conv's vjp peaks at about one.
 
 An op builds its output one way whether or not a tape records: GELU, SiLU
 and batch norm write it over their own scratch buffer, and the depthwise
@@ -53,7 +54,8 @@ def _window(i, stride, n_out):
 
 
 def conv2d_nchw(x, w, b, stride, padding):
-    """im2col cross-correlation of an NCHW map: (y, vjp(g) -> (gx, gw, gb))."""
+    """im2col cross-correlation of an NCHW map: (y, vjp(g) -> (gx, gw, gb)),
+    gb None when b is."""
     bsz, cin, h, wd = x.shape
     cout, _, kh, kw = w.shape
     oh = (h + 2 * padding - kh) // stride + 1
@@ -62,13 +64,15 @@ def conv2d_nchw(x, w, b, stride, padding):
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
     cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(bsz * oh * ow, -1)
     wmat = w.reshape(cout, -1)
-    y = cols @ wmat.T + b
+    y = cols @ wmat.T
+    if b is not None:
+        y = y + b
     y = np.ascontiguousarray(y.reshape(bsz, oh, ow, cout).transpose(0, 3, 1, 2))
 
     def vjp(g):
         g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(bsz * oh * ow, cout)
         gw = (g2.T @ cols).reshape(w.shape)
-        gb = g2.sum(axis=0)
+        gb = None if b is None else g2.sum(axis=0)
         gcols = (g2 @ wmat).reshape(bsz, oh, ow, cin, kh, kw)
         gxp = np.zeros(xp.shape, dtype=g.dtype)
         for i in range(kh):
@@ -153,8 +157,9 @@ def run_op(op, x, params, g, before_backward=lambda: None):
 
 
 # (NCHW input shape, Cout, kernel, stride, padding): the stem's and the
-# downsamplers' 3x3 stride-2 convs and the pointwise convs, at nano sizes
-# (batch 32 and 4) and at S@448 stage sizes (batch 1)
+# downsamplers' 3x3 stride-2 convs (conv2d, no bias) and the pointwise convs
+# (linear with a (Cout, Cin, 1, 1) weight, with bias), at nano sizes (batch
+# 32 and 4) and at S@448 stage sizes (batch 1)
 CONV_CASES = [
     ((32, 3, 32, 32), 8, 3, 2, 1),
     ((32, 16, 8, 8), 32, 3, 2, 1),
@@ -183,16 +188,18 @@ def test_conv2d_keeps_every_bit(shape, cout, k, stride, padding, dtype):
     x = rng.standard_normal(shape).astype(dtype)
     w = (rng.standard_normal((cout, shape[1], k, k)) * 0.1).astype(dtype)
     b = rng.standard_normal(cout).astype(dtype)
+    if k == 1:
+        op, params = ad.linear, [w, b]
+    else:
+        op, params, b = ad.conv2d, [w], None
     ref, ref_vjp = conv2d_nchw(x, w, b, stride, padding)
     g = rng.standard_normal(ref.shape).astype(dtype)
-    y, gx, (gw, gb) = run_op(lambda t, wt, bt: ad.conv2d(t, wt, bt, stride=stride,
-                                                        padding=padding),
-                             nhwc(x), [w, b], nhwc(g))
-    ref_gx, ref_gw, ref_gb = ref_vjp(g)
+    y, gx, grads = run_op(op, nhwc(x), params, nhwc(g))
+    ref_gx, *ref_grads = ref_vjp(g)
     np.testing.assert_array_equal(y, nhwc(ref))
     np.testing.assert_array_equal(gx, nhwc(ref_gx))
-    np.testing.assert_array_equal(gw, ref_gw)
-    np.testing.assert_array_equal(gb, ref_gb)
+    for got, want in zip(grads, ref_grads):
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -396,6 +403,27 @@ def test_depthwise_vjp_holds_about_two_input_maps():
         tracemalloc.stop()
     assert gx.shape == shape
     assert peak <= 2.5 * x.data.nbytes, peak / x.data.nbytes
+
+
+def test_pointwise_vjp_holds_about_one_input_map():
+    # a 1x1 conv is linear on each position's channels: the input gradient is
+    # one gemm's result, with no padded map to zero-fill and scatter into
+    shape = (2, 56, 56, 128)
+    project = ConvMlp(32).draw(np.random.default_rng(0)).project   # 128 -> 32
+    rng = np.random.default_rng(1)
+    x = Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+    with Tape():
+        y = project(x)
+    vjp = y._node.vjp
+    g = rng.standard_normal(y.shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        gx = vjp(g)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gx.shape == shape
+    assert peak <= 1.5 * x.data.nbytes, peak / x.data.nbytes
 
 
 def test_taped_conv_mlp_holds_what_its_vjps_read():

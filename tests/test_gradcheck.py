@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import vcmamba.autodiff as ad
+from vcmamba import checks
 from vcmamba.autodiff import Tensor
 from vcmamba.gradcheck import finite_diff_check
 
@@ -81,3 +82,50 @@ def test_inputs_restored_after_check(rng):
     x = Tensor(data, requires_grad=True, dtype=F64)
     finite_diff_check(lambda: ad.sum_all(ad.silu(x)), [x])
     np.testing.assert_array_equal(x.data, data)
+
+
+def double(t, vjp):
+    """2 * t, recorded with the given (planted) vjp."""
+    out = Tensor(t.data * 2.0, dtype=t.dtype)
+    ad.record("double", out, (t,), vjp)
+    return out
+
+
+def nan_grad(g):
+    return (np.full(g.shape, np.nan),)
+
+
+def test_non_finite_gradient_fails_and_is_the_worst(rng):
+    # a NaN error compares False against any bound, so it must not be dropped
+    x = Tensor(rng.normal(size=4), requires_grad=True, name="x", dtype=F64)
+    y = Tensor(rng.normal(size=(2, 3)), requires_grad=True, name="y", dtype=F64)
+    report = finite_diff_check(
+        lambda: ad.add(ad.sum_all(ad.mul(y, y)), ad.sum_all(double(x, nan_grad))), [y, x])
+    assert not report.passed
+    assert report.max_error == np.inf and report.per_tensor["x"] == np.inf
+    assert report.worst_tensor == "x" and report.worst_index == (0,)
+    assert report.per_tensor["y"] < 1e-6
+    assert "FAIL" in str(report)
+
+
+def test_check_gradients_reports_a_non_finite_gradient(monkeypatch):
+    conv2d = ad.conv2d
+    monkeypatch.setattr(ad, "conv2d", lambda *args, **kw: double(conv2d(*args, **kw), nan_grad))
+    result = checks.check_gradients()
+    assert not result.passed
+    assert "conv2d: inf" in result.detail
+
+
+def test_tensors_sharing_a_name_get_their_own_entries(rng):
+    # module parameters share names ("weight"); each gets its own report key
+    a, b = (Tensor(rng.normal(size=3), requires_grad=True, name="weight", dtype=F64)
+            for _ in range(2))
+    x = Tensor(rng.normal(size=3), requires_grad=True, name="x", dtype=F64)
+
+    def f():
+        return ad.add(ad.sum_all(ad.mul(a, x)), ad.sum_all(double(b, lambda g: (g * 3.0,))))
+
+    report = finite_diff_check(f, [a, x, b])
+    assert set(report.per_tensor) == {"weight#0", "x", "weight#2"}
+    assert report.per_tensor["weight#0"] < 1e-6
+    assert report.worst_tensor == "weight#2"

@@ -16,6 +16,7 @@ import pytest
 
 import vcmamba.autodiff as ad
 from vcmamba.autodiff import ShapeMismatch, Tensor
+from vcmamba.checkpoint import save_checkpoint
 from vcmamba.model import (PRESETS, ModelSpec, VCMamba, count_macs, count_params,
                            get_preset, interleave_blocks)
 from vcmamba.nn import Linear
@@ -198,6 +199,14 @@ class TestBuildPinning:
     ])
     def test_seed0_state_digest(self, spec, digest):
         assert state_sha256(VCMamba(spec, seed=0)) == digest
+
+    def test_seed0_nano_checkpoint_file_digest(self, tmp_path):
+        # the file also holds the header and every entry's shape, which
+        # state_sha256 does not hash: reshaping a parameter moves this digest
+        path = tmp_path / "nano.ckpt"
+        save_checkpoint(VCMamba(get_preset("nano"), seed=0), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "61036589b991bf04ec3dae2882cdb54881e3eddef274cbc27487a1112ec59ccb"
 
     @pytest.mark.parametrize("spec", [get_preset("nano"), MFM128])
     def test_drawing_the_undrawn_tree_is_the_build(self, spec):

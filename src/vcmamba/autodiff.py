@@ -21,9 +21,15 @@ forward's tap sum over the padded gradient.
 The tape decides, the ops compute. recording(*inputs) alone says whether an
 op records: a tape is active and some input requires a gradient. An op builds
 its output one way on every route, so a tape never changes an output's bits:
-gelu and silu write it over their own scratch buffer, batch_norm over its
-xhat, and depthwise_conv2d accumulates it a few rows at a time. Every vjp
-returns a gradient for each input; backward drops those no link wants.
+gelu and silu write it over their own scratch buffer, training batch_norm
+over its xhat, and depthwise_conv2d accumulates it a few rows at a time. Every
+vjp returns a gradient for each input; backward drops those no link wants.
+
+Eval-mode batch norm is the per-channel affine map x * s + t, with s and t
+taken in float64 and rounded once. batch_norm runs it as one pass;
+fold_batch_norm folds it into the bias-free conv or linear before it, as the
+weight w * s and the bias t, so it costs no pass of its own over the map. The fold is taken per call from the current statistics and
+records the folded weight and bias like any op output.
 
 The tape holds only what a vjp reads. A node keeps its gradient accumulator,
 its output's shape and a weak reference to the output, never the output's
@@ -368,8 +374,19 @@ def gelu(a: Tensor) -> Tensor:
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    return _pointwise("gelu", a, lambda: np.multiply(x, cdf, out=cdf),
-                      lambda: cdf + x * (np.exp(-0.5 * x * x) * _INV_SQRT_2PI))
+    return _pointwise("gelu", a, lambda: np.multiply(x, cdf, out=cdf), lambda: _gelu_slope(x, cdf))
+
+
+def _gelu_slope(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """cdf + x * (exp(-x*x/2) / sqrt(2 pi)) in one buffer, with the per-element
+    operations of that expression in its order."""
+    t = np.multiply(x, -0.5)
+    t *= x
+    np.exp(t, out=t)
+    t *= _INV_SQRT_2PI
+    t *= x
+    t += cdf
+    return t
 
 
 def silu(a: Tensor) -> Tensor:
@@ -513,6 +530,27 @@ def _channel_sum(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1]).sum(axis=0, dtype=np.float64).astype(a.dtype)
 
 
+def _batch_stats(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel mean and biased variance of a channels-last map, summed in
+    the NCHW order (the committed reference run pins these bits). The variance
+    takes numpy's own var steps over an NCHW copy, from the mean already taken."""
+    xc = np.moveaxis(a, -1, 1).copy()
+    mean = xc.mean(axis=(0, 2, 3), keepdims=True)
+    xc -= mean
+    np.square(xc, out=xc)
+    return mean.reshape(a.shape[-1]), xc.mean(axis=(0, 2, 3))
+
+
+def _eval_affine(gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
+                 running_var: np.ndarray, eps: float):
+    """Eval-mode batch norm as the per-channel map x * s + t: returns istd =
+    1 / sqrt(var + eps), s = gamma * istd and t = beta - mean * s, each taken
+    in float64 and rounded once to gamma's dtype."""
+    istd = 1.0 / np.sqrt(running_var.astype(np.float64) + eps)
+    s = gamma.data * istd
+    return tuple(a.astype(gamma.dtype) for a in (istd, s, beta.data - running_mean * s))
+
+
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
                running_var: np.ndarray, *, training: bool, momentum: float = 0.1,
                eps: float = 1e-5) -> Tensor:
@@ -520,11 +558,12 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
 
     running_mean / running_var are plain arrays updated in place in training
     mode (unbiased variance for the running estimate, biased for the
-    normalization itself). Eval mode normalizes with the running statistics.
-    The batch statistics are taken in the NCHW order; the gamma and beta
-    gradients are float64 sums of the rows (_channel_sum). The output is
-    written over xhat; the vjp rebuilds xhat from x.data, read at backward
-    time, and the mean and istd the forward normalized with.
+    normalization itself). The batch statistics are taken in the NCHW order
+    (_batch_stats) and the output is written over xhat. Eval mode normalizes
+    with the running statistics in one affine pass, x * s + t (_eval_affine).
+    The gamma and beta gradients are float64 sums of the rows (_channel_sum);
+    the vjp rebuilds xhat from x.data, read at backward time, and the mean and
+    istd the forward normalized with, by the training forward's operations.
     """
     if x.ndim != 4:
         raise ShapeMismatch("batch_norm", f"expected (B, H, W, C) input, got shape {x.shape}")
@@ -535,26 +574,24 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
 
     n = x.size // c
     if training:
-        # NCHW summation order: the committed reference run pins these bits
-        xc = np.ascontiguousarray(np.moveaxis(x.data, -1, 1))
-        mean = xc.mean(axis=(0, 2, 3))
-        var = xc.var(axis=(0, 2, 3))
+        mean, var = _batch_stats(x.data)
         unbiased = var * (n / (n - 1)) if n > 1 else var
         running_mean[...] = (1.0 - momentum) * running_mean + momentum * mean
         running_var[...] = (1.0 - momentum) * running_var + momentum * unbiased
+        istd = 1.0 / np.sqrt(var + eps)
+        xhat = x.data - mean
+        xhat *= istd
+        y = np.multiply(gamma.data, xhat, out=xhat)
+        y += beta.data
     else:
         mean = running_mean.copy()   # the vjp must see these statistics, not later updates
-        var = running_var
-
-    istd = 1.0 / np.sqrt(var + eps)
-    xhat = x.data - mean
-    xhat *= istd
-    y = np.multiply(gamma.data, xhat, out=xhat)
-    y += beta.data
+        istd, s, t = _eval_affine(gamma, beta, mean, running_var, eps)
+        y = x.data * s
+        y += t
     out = Tensor(y, dtype=x.dtype)
 
     def vjp(g):
-        xhat = x.data - mean     # the forward's xhat, rebuilt with its exact operations
+        xhat = x.data - mean     # the training forward's xhat, by its exact operations
         xhat *= istd
         gb = _channel_sum(g)
         gg = _channel_sum(g * xhat)
@@ -570,6 +607,30 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
 
     record("batch_norm", out, (x, gamma, beta), vjp)
     return out
+
+
+def fold_batch_norm(w: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
+                    running_var: np.ndarray, *, eps: float = 1e-5) -> tuple[Tensor, Tensor]:
+    """An eval-mode batch_norm folded into the bias-free conv or linear before
+    it (RepVGG's re-parameterisation): batch_norm(conv(x, w)) is
+    conv(x, w * s) + t, with s and t per output channel (_eval_affine) and w's
+    first axis the output channel. Returns the folded weight and bias, taken
+    per call from the current statistics, so none goes stale; each records
+    itself, so gradients reach w, gamma and beta.
+    """
+    c = w.shape[0]
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise ShapeMismatch("fold_batch_norm", f"gamma/beta must have shape ({c},), got "
+                                               f"{gamma.shape} and {beta.shape}")
+    mean = running_mean.copy()   # the vjp must see these statistics, not later updates
+    istd, s, t = _eval_affine(gamma, beta, mean, running_var, eps)
+    rows = s.reshape((c,) + (1,) * (w.ndim - 1))
+    weight = Tensor(w.data * rows, dtype=w.dtype)
+    bias = Tensor(t, dtype=beta.dtype)
+    record("fold_batch_norm", weight, (w, gamma),
+           lambda g: (g * rows, (g * w.data).reshape(c, -1).sum(axis=1) * istd))
+    record("fold_batch_norm", bias, (gamma, beta), lambda g: (-(g * mean) * istd, g))
+    return weight, bias
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, *, eps: float = 1e-5) -> Tensor:

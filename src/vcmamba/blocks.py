@@ -10,11 +10,17 @@ a learned positional map (stored at the stage-native grid and bilinearly
 resized elsewhere), applies a depthwise conv + SiLU, then runs the four-path
 direction-aware scan mix and projects back.
 
-Convolutions directly followed by a BN carry no bias. The stem takes (B, 3, H, W)
-images and moves them to channels-last once; every block after it takes and
-returns a channels-last (B, H, W, C) map. On that layout a 1x1 conv
-(PointwiseConv) is a linear map of each position's channels; the 3x3 stride-2
-Conv2d serves only the stem and the downsamplers.
+Convolutions directly followed by a BN carry no bias. The stem takes
+(B, 3, H, W) images and moves them to channels-last once; every block after
+it takes and returns a channels-last (B, H, W, C) map. On that layout a 1x1
+conv (PointwiseConv) is a linear map of each position's channels; the 3x3
+stride-2 Conv2d serves only the stem and the downsamplers.
+
+In eval mode the BNs after ConvMlp's expand and depthwise convs and after
+MambaBranch's out-projection are folded into that conv's weight and bias
+(BatchNorm2d.fold), per forward from the current statistics, so they cost no
+pass over the map; every other eval BN is one affine pass. Training mode
+runs each BN as its own op.
 """
 
 from __future__ import annotations
@@ -57,8 +63,12 @@ class ConvMlp(Module):
         self.project = PointwiseConv(hidden, channels, bias=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        x = ad.gelu(self.norm1(self.expand(x)))
-        x = ad.gelu(self.norm2(self.dwconv(x)))
+        if self.training:
+            x = ad.gelu(self.norm1(self.expand(x)))
+            x = ad.gelu(self.norm2(self.dwconv(x)))
+        else:
+            x = ad.gelu(ad.linear(x, *self.norm1.fold(self.expand.weight)))
+            x = ad.gelu(ad.depthwise_conv2d(x, *self.norm2.fold(self.dwconv.weight)))
         return self.project(x)
 
 
@@ -108,7 +118,9 @@ class MambaBranch(Module):
         z = ad.add_map(z, pos)
         z = ad.silu(self.dwconv(z))
         z = self.mix_norm(directional_scan_sum(z, self.ssm))
-        return self.out_norm(self.out_proj(z))
+        if self.training:
+            return self.out_norm(self.out_proj(z))
+        return ad.linear(z, *self.out_norm.fold(self.out_proj.weight))
 
 
 class MdmBlock(Module):

@@ -19,7 +19,8 @@ included), so a round trip reproduces eval-mode behaviour exactly. A save
 writes and fsyncs a temporary file, then renames it over the target, so a
 failed or interrupted save leaves the previous checkpoint intact. Loading
 rejects wrong magic, a header dtype other than float32/float64 and entries
-tagged otherwise, entry names that are not UTF-8 or appear twice (format
+tagged otherwise, entry names that are not UTF-8 or appear twice, entries
+holding a non-finite value or a negative batch-norm running_var (format
 errors), unknown versions (version error) and any truncation or corruption
 (integrity error, no partially loaded model). A load draws nothing: it fills
 VCMamba.undrawn(spec), and a missing entry is an error.
@@ -167,7 +168,12 @@ def load_checkpoint(path: str) -> VCMamba:
         if tuple(shape) != dest.shape:
             raise CheckpointFormatError(f"entry {name!r} has shape {tuple(shape)}, model "
                                         f"expects {dest.shape}")
-        dest[...] = np.frombuffer(raw, dtype=_TAG_DTYPES[tag]).reshape(shape)
+        values = np.frombuffer(raw, dtype=_TAG_DTYPES[tag]).reshape(shape)
+        if not np.isfinite(values).all():
+            raise CheckpointFormatError(f"entry {name!r} holds a non-finite value")
+        if name.endswith(".running_var") and (values < 0).any():
+            raise CheckpointFormatError(f"entry {name!r} holds a negative batch-norm variance")
+        dest[...] = values
         seen.add(name)
     if r.pos != len(body):
         raise CheckpointFormatError(f"{len(body) - r.pos} unexpected trailing bytes")

@@ -216,6 +216,12 @@ class BatchNorm2d(Module):
         return ad.batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var,
                              training=self.training, momentum=self.momentum, eps=self.eps)
 
+    def fold(self, weight: Tensor) -> tuple[Tensor, Tensor]:
+        """This BN in eval mode folded into the bias-free conv weight before it:
+        the folded (weight, bias), from the current gamma, beta and statistics."""
+        return ad.fold_batch_norm(weight, self.gamma, self.beta, self.running_mean,
+                                  self.running_var, eps=self.eps)
+
 
 class LayerNorm(Module):
     """Normalizes the last axis."""

@@ -516,6 +516,24 @@ class TestBatchNorm:
                     + beta.data[None, :, None, None])
         np.testing.assert_allclose(nchw(y.data), expected, atol=1e-12)
 
+    @pytest.mark.parametrize("conv, shape", [("linear", (5, 3, 1, 1)),
+                                             ("depthwise_conv2d", (3, 1, 3, 3))])
+    def test_fold_equals_eval_batch_norm_after_the_conv(self, rng, conv, shape):
+        x = t64(nhwc(rng.normal(size=(2, 3, 4, 5))))
+        w = t64(rng.normal(size=shape))
+        c = shape[0]
+        gamma, beta = t64(rng.uniform(0.5, 1.5, c)), t64(rng.normal(size=c))
+        rm, rv = rng.normal(size=c), rng.uniform(0.5, 2.0, c)
+        op = getattr(ad, conv)
+        want = ad.batch_norm(op(x, w), gamma, beta, rm, rv, training=False).data
+        got = op(x, *ad.fold_batch_norm(w, gamma, beta, rm, rv)).data
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_fold_rejects_statistics_of_another_width(self):
+        with pytest.raises(ShapeMismatch):
+            ad.fold_batch_norm(t64(np.ones((4, 3, 1, 1))), t64(np.ones(3)), t64(np.zeros(3)),
+                               np.zeros(3), np.ones(3))
+
     def test_eval_leaves_running_stats_alone(self, rng):
         rm, rv = self._stats(2)
         ad.batch_norm(t64(rng.normal(size=(2, 3, 3, 2))), t64(np.ones(2)), t64(np.zeros(2)),
@@ -732,6 +750,23 @@ class TestGradients:
             return ad.sum_all(ad.mul(y, y))
 
         assert_grads_ok(f, [x, gamma, beta])
+
+    @pytest.mark.parametrize("conv, shape", [("linear", (5, 3, 1, 1)),
+                                             ("depthwise_conv2d", (3, 1, 3, 3))])
+    def test_fold_batch_norm(self, rng, conv, shape):
+        x = t64(nhwc(rng.normal(size=(2, 3, 4, 4))), name="x")
+        w = t64(rng.normal(size=shape), name="w")
+        c = shape[0]
+        gamma = t64(rng.uniform(0.5, 1.5, size=c), name="gamma")
+        beta = t64(rng.normal(size=c), name="beta")
+        rm = rng.normal(size=c)
+        rv = rng.uniform(0.5, 2.0, size=c)
+
+        def f():
+            y = getattr(ad, conv)(x, *ad.fold_batch_norm(w, gamma, beta, rm, rv))
+            return ad.sum_all(ad.mul(y, y))
+
+        assert_grads_ok(f, [x, w, gamma, beta])
 
     def test_layer_norm(self, rng):
         x = t64(rng.normal(size=(2, 3, 6)), name="x")

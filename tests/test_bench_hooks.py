@@ -16,7 +16,7 @@ import numpy as np
 
 import vcmamba.autodiff as ad
 from vcmamba.autodiff import Tape, Tensor
-from vcmamba.blocks import MAMBA_EXPANSION, ConvMlp, MambaBranch
+from vcmamba.blocks import MAMBA_EXPANSION, ConvMlp, DownsampleLayer, MambaBranch
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -74,8 +74,11 @@ def test_tracer_counts_one_scan_and_restores_the_package():
 
 
 def test_tracer_times_the_conv_mlp_ops_and_restores_them():
-    # the ops the conv stack's eval fast path changes stay visible to the trace
+    # the ops the conv stack's eval fast path changes stay visible to the
+    # trace: an eval ConvMlp folds its BNs into expand and the depthwise conv,
+    # and an eval DownsampleLayer still runs its BN as a batch_norm op
     mlp = ConvMlp(4).draw(np.random.default_rng(0)).eval()
+    down = DownsampleLayer(4, 6).draw(np.random.default_rng(2)).eval()
     x = Tensor(np.random.default_rng(1).normal(size=(2, 5, 5, 4)))
     before = package_namespaces()
 
@@ -84,18 +87,19 @@ def test_tracer_times_the_conv_mlp_ops_and_restores_them():
     try:
         installed = changed(before, package_namespaces())
         tracer.begin_op()
-        mlp(x)
+        down(mlp(x))
         tracer.end_op()
     finally:
         tracer.uninstall()
 
-    ops = ("gelu", "depthwise_conv2d", "batch_norm")
+    ops = ("gelu", "depthwise_conv2d", "linear", "batch_norm")
     assert {("vcmamba.autodiff", op) for op in ops} <= installed
     assert not changed(before, package_namespaces())
     metrics, _ = tracer.summary()
     for op in ops:
         assert metrics[f"autodiff.fwd_s.{op}"] > 0, op
     assert metrics["blocks.fwd_s.ConvMlp"] > 0
+    assert metrics["blocks.fwd_s.DownsampleLayer"] > 0
 
 
 def test_tracer_times_the_conv_mlp_vjps_and_restores_them():

@@ -14,6 +14,8 @@ from vcmamba.autodiff import ShapeMismatch, Tensor
 from vcmamba.blocks import (ConvMlp, DownsampleLayer, FfnBlock, MambaBranch, MdmBlock,
                             Stem)
 from vcmamba.gradcheck import finite_diff_check
+from vcmamba.model import VCMamba, get_preset
+from vcmamba.nn import BatchNorm2d
 from vcmamba.scanpath import path_table
 from vcmamba.ssm import ScanInputs, direction_aware_scan, selective_projection
 
@@ -148,7 +150,9 @@ class TestMambaBranch:
                   for op in ("moveaxis", "reshape", "gather_tokens", "scatter_tokens")}
         # the one layout change left moves the resized position map to channels-last
         assert layout == {"moveaxis": 1, "reshape": 0, "gather_tokens": 4, "scatter_tokens": 1}
-        assert len(tape) == 20
+        # out_norm, folded into out_proj, records the folded weight and bias
+        assert ops.count("fold_batch_norm") == 2 and "batch_norm" not in ops
+        assert len(tape) == 21
 
 
 class TestMdmBlock:
@@ -175,6 +179,10 @@ class TestMdmBlock:
             return ad.batch_norm(t, norm.gamma, norm.beta, norm.running_mean,
                                  norm.running_var, training=False, eps=norm.eps)
 
+        def folded(weight, norm):   # the eval BN after a conv, folded into its weight
+            return ad.fold_batch_norm(weight, norm.gamma, norm.beta, norm.running_mean,
+                                      norm.running_var, eps=norm.eps)
+
         mb = block.mamba
         z = ad.linear(bn(x, block.norm1), mb.in_proj.weight, mb.in_proj.bias)
         z = ad.add_map(z, ad.moveaxis(ad.bilinear_resize(mb.pos_table, 3, 3), 0, 2))
@@ -191,12 +199,12 @@ class TestMdmBlock:
             mixed = spread if mixed is None else ad.add(mixed, spread)
         normed = ad.layer_norm(ad.moveaxis(mixed, 1, 3), mb.mix_norm.gamma, mb.mix_norm.beta,
                                eps=mb.mix_norm.eps)
-        branch = bn(ad.linear(normed, mb.out_proj.weight), mb.out_norm)
+        branch = ad.linear(normed, *folded(mb.out_proj.weight, mb.out_norm))
         x1 = ad.add(x, branch)
 
-        t = ad.gelu(bn(ad.linear(bn(x1, block.norm2), block.mlp.expand.weight),
-                       block.mlp.norm1))
-        t = ad.gelu(bn(ad.depthwise_conv2d(t, block.mlp.dwconv.weight), block.mlp.norm2))
+        mlp = block.mlp
+        t = ad.gelu(ad.linear(bn(x1, block.norm2), *folded(mlp.expand.weight, mlp.norm1)))
+        t = ad.gelu(ad.depthwise_conv2d(t, *folded(mlp.dwconv.weight, mlp.norm2)))
         expected = ad.add(x1, ad.linear(t, block.mlp.project.weight,
                                         block.mlp.project.bias))
         np.testing.assert_array_equal(got.data, expected.data)
@@ -245,3 +253,80 @@ class TestMdmBlock:
         for (n1, p1), (n2, p2) in zip(b1.named_parameters(), b2.named_parameters()):
             assert n1 == n2
             np.testing.assert_array_equal(p1.data, p2.data)
+
+
+def batch_norms(module):
+    """Every BatchNorm2d in the module tree."""
+    found, stack = [], [module]
+    while stack:
+        m = stack.pop()
+        found += [m] if isinstance(m, BatchNorm2d) else []
+        stack.extend(m._children.values())
+    return found
+
+
+def unfolded(module):
+    """module as an eval forward with no BN folded: the blocks take their
+    training route, and every BN in it runs its own eval-mode pass."""
+    module.train()
+    for norm in batch_norms(module):
+        norm.eval()
+    return module
+
+
+def scramble_batch_norms(module, rng):
+    for norm in batch_norms(module):
+        c = norm.gamma.shape[0]
+        norm.gamma.data[...] = rng.uniform(0.5, 1.5, c)
+        norm.beta.data[...] = rng.normal(size=c)
+        norm.running_mean[...] = rng.normal(size=c)
+        norm.running_var[...] = rng.uniform(0.5, 2.0, c)
+
+
+class TestEvalBatchNormFold:
+    @pytest.mark.parametrize("make, train_calls", [
+        (lambda: ConvMlp(4), 2),
+        (lambda: MambaBranch(4, (3, 3), n_state=4), 1),
+    ], ids=["ConvMlp", "MambaBranch"])
+    def test_folded_pairs_make_no_batch_norm_call(self, rng, monkeypatch, make, train_calls):
+        calls = []
+
+        def counted(*args, _real=ad.batch_norm, **kwargs):
+            calls.append(kwargs["training"])
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(ad, "batch_norm", counted)
+        module = make().draw(make_rng())
+        x = Tensor(rng.normal(size=(2, 3, 3, 4)).astype(np.float32))
+        module.eval()(x)
+        assert calls == []
+        module.train()(x)
+        assert calls == [True] * train_calls
+
+    @pytest.mark.parametrize("which", ["mdm_block", "nano"])
+    def test_folded_matches_unfolded_in_float64(self, rng, which):
+        if which == "nano":
+            model = VCMamba(get_preset("nano"), seed=0).to(F64)
+            x = Tensor(rng.random((2, 3, 32, 32)), dtype=F64)
+        else:
+            model = MdmBlock(4, (3, 3), n_state=4).draw(make_rng()).to(F64)
+            x = Tensor(rng.normal(size=(2, 3, 3, 4)), dtype=F64)
+        scramble_batch_norms(model, rng)
+        got = model.eval()(x).data
+        want = unfolded(model)(x).data
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_a_changed_gamma_or_variance_takes_effect_at_once(self, rng):
+        block = MdmBlock(4, (3, 3), n_state=4).draw(make_rng()).to(F64)
+        scramble_batch_norms(block, rng)
+        x = Tensor(rng.normal(size=(2, 3, 3, 4)), dtype=F64)
+        changes = [(block.mlp.norm1.gamma.data, 2.0), (block.mlp.norm2.running_var, 3.0),
+                   (block.mamba.out_norm.gamma.data, 0.5),
+                   (block.mamba.out_norm.running_var, 4.0)]
+        for array, factor in changes:
+            before = block.eval()(x).data
+            array[0] *= factor
+            after = block.eval()(x).data
+            assert not np.array_equal(after, before)
+            want = unfolded(block)(x).data
+            assert np.abs(after - want).max() <= 1e-12 * np.abs(want).max()

@@ -405,6 +405,22 @@ def test_depthwise_vjp_holds_about_two_input_maps():
     assert peak <= 2.5 * x.data.nbytes, peak / x.data.nbytes
 
 
+def test_taped_gelu_holds_about_two_input_maps():
+    # the output over the cdf buffer and the slope built in one more buffer
+    shape = (2, 56, 56, 128)
+    x = Tensor(np.random.default_rng(0).standard_normal(shape).astype(np.float32),
+               requires_grad=True)
+    tracemalloc.start()
+    try:
+        with Tape():
+            y = ad.gelu(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert y.shape == shape
+    assert peak <= 2.2 * x.data.nbytes, peak / x.data.nbytes
+
+
 def test_pointwise_vjp_holds_about_one_input_map():
     # a 1x1 conv is linear on each position's channels: the input gradient is
     # one gemm's result, with no padded map to zero-fill and scatter into

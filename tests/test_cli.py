@@ -13,6 +13,7 @@ import pytest
 
 import vcmamba.checks as checks
 import vcmamba.cli as cli
+from vcmamba.checkpoint import save_checkpoint
 from vcmamba.cli import main
 from vcmamba.model import PRESETS, VCMamba, count_macs, count_params
 from vcmamba.optim import AdamW
@@ -181,6 +182,20 @@ n_samples = 16
         bad.write_bytes(b"XCMB" + b"\x00" * 64)
         assert main(["eval", "--checkpoint", str(bad)]) == 1
         assert "vcmamba:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry, value", [("stage1.entry_norm.running_var", -1.0),
+                                              ("head.weight", np.nan)])
+    def test_checkpoint_with_an_impossible_value_exits_one(self, tmp_path, capsys, entry, value):
+        # a NaN weight or a negative BN variance is a bad file: it must not
+        # surface as a scan failure (exit 2) or as "loss nan" (exit 0)
+        model = VCMamba(PRESETS["nano"], seed=0)
+        state = {name: p.data for name, p in model.named_parameters()}
+        state.update(model.named_buffers())
+        state[entry].flat[0] = value
+        ckpt = tmp_path / "bad.ckpt"
+        save_checkpoint(model, str(ckpt))
+        assert main(["eval", "--checkpoint", str(ckpt), "--n-samples", "8"]) == 1
+        assert entry in capsys.readouterr().err
 
     def test_divergence_exit_code(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "t.cfg"

@@ -1,11 +1,13 @@
-"""Print one sha256 prefix per fixed training configuration.
+"""Print two sha256 prefixes per fixed training configuration.
 
 Two source trees that print the same digests on one machine compute the same
 floats there, bit for bit. Each configuration builds its model from seed 0 and
 runs a few AdamW train steps on the first toy images at the model's
-resolution. The digest covers, for every step, the logits, the loss, the
-gradient norm, every parameter gradient, the parameters after the update and
-the batch-norm buffers; then the logits of one eval-mode forward.
+resolution. The `train` digest covers, for every step, the logits, the loss,
+the gradient norm, every parameter gradient, the parameters after the update
+and the batch-norm buffers. The `eval` digest covers the logits of one
+eval-mode forward after the last step, so a change to the eval route alone
+moves only the `eval` digest.
 
 To compare two checkouts, run the script against each source tree:
 
@@ -35,13 +37,14 @@ CONFIGS = {
 }
 
 
-def digest(spec: ModelSpec, batch: int, steps: int, dtype) -> str:
-    """The first 16 hex digits of the sha256 over one configuration's run."""
-    h = hashlib.sha256()
+def digest(spec: ModelSpec, batch: int, steps: int, dtype) -> tuple[str, str]:
+    """The (train, eval) digests of one configuration's run: the first 16 hex
+    digits of each sha256."""
+    train = hashlib.sha256()
 
     def feed(*arrays):
         for a in arrays:
-            h.update(b"-" if a is None else np.ascontiguousarray(a).tobytes())
+            train.update(b"-" if a is None else np.ascontiguousarray(a).tobytes())
 
     model = VCMamba(spec, seed=0).to(dtype).train()
     data = ToyDataset(batch, seed=0, resolution=spec.input_resolution)
@@ -58,13 +61,14 @@ def digest(spec: ModelSpec, batch: int, steps: int, dtype) -> str:
         opt.step()
         feed(*(p.data for p in params), *(b for _, b in model.named_buffers()))
     model.eval()
-    feed(model(Tensor(images, dtype=dtype)).data)
-    return h.hexdigest()[:16]
+    evaluation = hashlib.sha256(model(Tensor(images, dtype=dtype)).data.tobytes())
+    return train.hexdigest()[:16], evaluation.hexdigest()[:16]
 
 
 def main() -> None:
     for name, cfg in CONFIGS.items():
-        print(f"{name:12s} {digest(*cfg)}", flush=True)
+        train, evaluation = digest(*cfg)
+        print(f"{name:12s} train {train} eval {evaluation}", flush=True)
 
 
 if __name__ == "__main__":

@@ -28,8 +28,9 @@ vjp returns a gradient for each input; backward drops those no link wants.
 Eval-mode batch norm is the per-channel affine map x * s + t, with s and t
 taken in float64 and rounded once. batch_norm runs it as one pass;
 fold_batch_norm folds it into the bias-free conv or linear before it, as the
-weight w * s and the bias t, so it costs no pass of its own over the map. The fold is taken per call from the current statistics and
-records the folded weight and bias like any op output.
+weight w * s and the bias t, so it costs no pass of its own over the map.
+The fold is taken per call from the current statistics and records the
+folded weight and bias like any op output.
 
 The tape holds only what a vjp reads. A node keeps its gradient accumulator,
 its output's shape and a weak reference to the output, never the output's

@@ -53,10 +53,13 @@ def check_scan_paths(max_side: int = 16) -> CheckResult:
                     return _result("scan_paths", False, f"{pid.value} {h}x{w}: not a permutation")
                 if p.dirs[0] != Direction.BEGIN:
                     return _result("scan_paths", False, f"{pid.value} {h}x{w}: bad begin code")
-                rows, cols = p.order // w, p.order % w
-                steps = np.abs(np.diff(rows)) + np.abs(np.diff(cols))
-                if p.length > 1 and not np.all(steps == 1):
+                dr, dc = np.diff(p.order // w), np.diff(p.order % w)
+                if p.length > 1 and not np.all(np.abs(dr) + np.abs(dc) == 1):
                     return _result("scan_paths", False, f"{pid.value} {h}x{w}: adjacency broken")
+                codes = np.select([dc == 1, dc == -1, dr == 1], [Direction.RIGHT, Direction.LEFT,
+                                                                 Direction.DOWN], Direction.UP)
+                if not np.array_equal(p.dirs[1:], codes):
+                    return _result("scan_paths", False, f"{pid.value} {h}x{w}: bad direction code")
             for a, b in ((PathId.ROW_SNAKE_TL, PathId.ROW_SNAKE_BR),
                          (PathId.COL_SNAKE_TL, PathId.COL_SNAKE_BR)):
                 if not np.array_equal(paths[a].order[::-1], paths[b].order):

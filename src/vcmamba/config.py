@@ -136,7 +136,3 @@ def load_train_config(path: str) -> TrainConfig:
                 raise ValidationError(f"[{section}] {key} = {raw!r} is not a valid "
                                       f"{caster.__name__}") from exc
     return TrainConfig(**values).validate()
-
-
-def config_field_names() -> list[str]:
-    return [f.name for f in fields(TrainConfig)]

@@ -27,6 +27,8 @@ adjoint. The model does not call it. A Mamba block makes one projection and
 one scan call on a channels-last (B, H, W, D) map: the map is projected once,
 the input and the projections are gathered into all four path orders with
 the paths folded into the batch axis, scanned, scattered back and summed.
+The fold's row layout, its rows' direction codes and the way back from a
+failing row to path, image and cell all live in scanpath.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ShapeMismatch, Tensor
 from .nn import Module, ModuleError
-from .scanpath import Direction, gather_tokens, path_table, scatter_tokens
+from .scanpath import Direction, fold_dirs, fold_site, gather_tokens, path_table, scatter_tokens
 
 N_DIRECTIONS = len(Direction)
 # tokens per chunk of the scan backward: the forward keeps the state entering
@@ -329,13 +331,11 @@ def directional_scan_sum(features: Tensor, params: SsmParams) -> Tensor:
     paths = path_table(h, w)
     x = gather_tokens(features, paths)  # first, so the map's gradient is ((g_dt + g_c) + g_b) + g_x
     delta, b_seq, c_seq = (gather_tokens(t, paths) for t in selective_projection(features, params))
-    dirs = np.repeat(np.stack([path.dirs for path in paths]), bsz, axis=0)
-    inputs = ScanInputs(x, delta, b_seq, c_seq, dirs=dirs)
+    inputs = ScanInputs(x, delta, b_seq, c_seq, dirs=fold_dirs(paths, bsz))
     try:
         y = direction_aware_scan(inputs, params)
     except NonFiniteStateError as err:
-        path = paths[err.row // bsz]
-        cell = divmod(int(path.order[err.token_index]), w)
-        raise NonFiniteStateError(err.token_index, err.row, err.what, path=path.path_id.value,
-                                  image=err.row % bsz, cell=cell) from err
+        path, image, cell = fold_site(paths, bsz, err.row, err.token_index)
+        raise NonFiniteStateError(err.token_index, err.row, err.what, path=path,
+                                  image=image, cell=cell) from err
     return scatter_tokens(y, paths)

@@ -131,7 +131,7 @@ def train(cfg: TrainConfig) -> TrainResult:
 
         if cfg.steps % cfg.checkpoint_every:     # else the last step just saved
             save_checkpoint(model, cfg.checkpoint_path)
-        eval_loss, eval_acc = evaluate(model, dataset, batch_size=max(cfg.batch_size, 64))
+        eval_loss, eval_acc = evaluate(model, dataset)
         log.writerow([cfg.steps, "eval", f"{eval_loss:.6f}", f"{eval_acc:.6f}", "0.000000"])
 
     return TrainResult(steps_run=cfg.steps, final_loss=eval_loss, final_accuracy=eval_acc,

@@ -7,12 +7,19 @@ ends with a criterion-by-criterion summary whatever the outcome.
 The module is self-contained: expected values are stated inline and the
 reference implementations (naive recurrence, direction table, loop-free
 oracles) are written here rather than imported from the code under test.
-Criterion 9 trains the nano preset for real (three 500-step runs) and
-dominates the runtime at a few minutes; everything else runs in seconds.
+Criterion 9 trains the nano preset for real (three 500-step runs, each in a
+child process with one BLAS thread, as many at once as there are usable
+cores) and dominates the runtime at a few minutes; everything else runs in
+seconds.
 """
 
 import csv
+import json
+import os
+import subprocess
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -24,16 +31,15 @@ from vcmamba.blocks import FfnBlock, MdmBlock
 from vcmamba.checkpoint import (CheckpointError, CheckpointFormatError,
                                 CheckpointIntegrityError, load_checkpoint,
                                 save_checkpoint)
-from vcmamba.config import TrainConfig
 from vcmamba.gradcheck import finite_diff_check
 from vcmamba.model import PRESETS, VCMamba, count_macs, count_params, get_preset
 from vcmamba.scanpath import PathId, build_path, gather_tokens, scatter_tokens
 from vcmamba.ssm import (ScanInputs, SsmParams, direction_aware_scan,
                          selective_scan_parallel, selective_scan_sequential)
-from vcmamba.train import train
 
 F64 = np.float64
 REPO = Path(__file__).resolve().parents[1]
+SRC = str(Path(ad.__file__).resolve().parents[1])     # the vcmamba these tests import
 
 # flat-index offsets of each direction code on an H x W grid, stated fresh
 OFFSET_BY_CODE = {1: (0, 1), 2: (0, -1), 3: (1, 0), 4: (-1, 0)}
@@ -372,6 +378,30 @@ def test_c08_passthrough_invariants(criterion_report):
     assert ok, detail
 
 
+# one C9 seed's run in a fresh interpreter: train(TrainConfig(**json argv[1])),
+# then its final loss, first loss and final accuracy as a JSON line
+C9_CHILD = """\
+import json, sys
+from vcmamba.config import TrainConfig
+from vcmamba.train import train
+result = train(TrainConfig(**json.loads(sys.argv[1])))
+print(json.dumps([result.final_loss, result.first_loss, result.final_accuracy]))
+"""
+
+
+def train_in_child(config, timeout_s=1800):
+    """Run C9_CHILD on a config dict with one BLAS thread, set in the child's
+    environment before numpy loads; the completed process keeps its stderr.
+    A child still running after timeout_s is killed and reads as exit -1."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    args = [sys.executable, "-c", C9_CHILD, json.dumps(config)]
+    try:
+        return subprocess.run(args, env=env, capture_output=True, text=True, timeout=timeout_s)
+    except subprocess.TimeoutExpired:
+        return subprocess.CompletedProcess(args, -1, "", f"killed after {timeout_s} s\n")
+
+
 @pytest.mark.slow
 def test_c09_training_smoke(criterion_report, tmp_path):
     # committed reference run: nano, 2000 steps, batch 32 (reference/train_nano.cfg)
@@ -384,17 +414,24 @@ def test_c09_training_smoke(criterion_report, tmp_path):
               and float(ref_final["accuracy"]) >= 0.90
               and ref_at_500 < 0.5 * ref_first)
 
+    seeds = (0, 1, 2)
+    configs = [dict(preset="nano", steps=500, batch_size=32, n_samples=512,
+                    seed=seed, data_seed=0, checkpoint_every=500,
+                    checkpoint_path=str(tmp_path / f"s{seed}.ckpt"),
+                    log_path=str(tmp_path / f"s{seed}.csv")) for seed in seeds]
     t0 = time.perf_counter()
-    ratios, accs = [], []
-    for seed in (0, 1, 2):
-        cfg = TrainConfig(preset="nano", steps=500, batch_size=32, n_samples=512,
-                          seed=seed, data_seed=0, checkpoint_every=500,
-                          checkpoint_path=str(tmp_path / f"s{seed}.ckpt"),
-                          log_path=str(tmp_path / f"s{seed}.csv"))
-        result = train(cfg)
-        ratios.append(result.final_loss / result.first_loss)
-        accs.append(result.final_accuracy)
+    with ThreadPoolExecutor(min(len(seeds), len(os.sched_getaffinity(0)))) as pool:
+        runs = list(pool.map(train_in_child, configs))
     elapsed = time.perf_counter() - t0
+    for seed, run in zip(seeds, runs):
+        if run.returncode:
+            criterion_report("C9 nano learns the toy task", False,
+                             f"seed {seed} training exited {run.returncode}")
+            pytest.fail(f"C9 seed {seed} training exited {run.returncode}:\n{run.stderr}",
+                        pytrace=False)
+    results = [json.loads(run.stdout.splitlines()[-1]) for run in runs]
+    ratios = [final_loss / first_loss for final_loss, first_loss, _ in results]
+    accs = [accuracy for _, _, accuracy in results]
 
     halved = float(np.mean(ratios)) < 0.5
     learned = min(accs) >= 0.90     # hit within 500 steps, well inside the 2000 budget

@@ -5,8 +5,7 @@ import re
 
 import pytest
 
-from vcmamba.config import (TrainConfig, ValidationError, config_field_names,
-                            load_train_config)
+from vcmamba.config import TrainConfig, ValidationError, load_train_config
 
 FULL = """\
 [model]
@@ -48,9 +47,6 @@ class TestDefaults:
         assert cfg.steps == 2000
         assert cfg.checkpoint_path == "vcmamba.ckpt"
         assert cfg.log_path == "train_log.csv"
-
-    def test_field_names_cover_dataclass(self):
-        assert config_field_names() == [f.name for f in dataclasses.fields(TrainConfig)]
 
 
 class TestParsing:

@@ -13,8 +13,8 @@ import pytest
 
 import vcmamba.autodiff as ad
 from vcmamba.autodiff import Tape, Tensor, backward
-from vcmamba.scanpath import (Direction, PathId, ScanPath, build_path, dump_csv,
-                              gather_tokens, path_table, scatter_tokens)
+from vcmamba.scanpath import (Direction, PathId, ScanPath, build_path, dump_csv, fold_dirs,
+                              fold_site, gather_tokens, path_table, scatter_tokens)
 
 ALL_IDS = list(PathId)
 
@@ -59,11 +59,17 @@ class TestFrozenTraversals:
         assert np.all(br.dirs[1:] == Direction.LEFT)
 
 
+# past 16x16: very thin and non-square grids, and 32x32, the stage-4 grid of a
+# 1024 px input
+LARGE_GRIDS = [(1, 40), (40, 1), (17, 33), (33, 17), (32, 32)]
+
+
 class TestPathProperties:
     def _grids(self):
         for h in range(1, 17):
             for w in range(1, 17):
                 yield h, w
+        yield from LARGE_GRIDS
 
     def test_exhaustive_up_to_16(self):
         for h, w in self._grids():
@@ -104,13 +110,13 @@ class TestPathProperties:
             assert col_br.order[0] % w == w - 1
 
     def test_paths_distinct_on_proper_grids(self):
-        for h in range(2, 9):
-            for w in range(2, 9):
-                orders = [tuple(build_path(h, w, pid).order) for pid in ALL_IDS]
-                assert len(set(orders)) == 4, (h, w)
+        grids = [(h, w) for h in range(2, 9) for w in range(2, 9)]
+        for h, w in grids + [g for g in LARGE_GRIDS if min(g) > 1]:
+            orders = [tuple(build_path(h, w, pid).order) for pid in ALL_IDS]
+            assert len(set(orders)) == 4, (h, w)
 
     def test_inverse_is_inverse(self):
-        for h, w in [(1, 1), (3, 5), (8, 8)]:
+        for h, w in [(1, 1), (3, 5), (8, 8)] + LARGE_GRIDS:
             for pid in ALL_IDS:
                 p = build_path(h, w, pid)
                 inv = p.inverse()
@@ -215,6 +221,20 @@ class TestGatherScatter:
 
         with pytest.raises(ValueError, match="does not match path grid"):
             gather_tokens(Tensor(np.zeros((b, h + 1, w, c))), paths)
+
+    def test_fold_rows_know_their_path_image_and_cell(self):
+        b, h, w = 3, 2, 5
+        paths = path_table(h, w)
+        dirs = fold_dirs(paths, b)
+        assert dirs.shape == (4 * b, h * w)
+        for k, p in enumerate(paths):
+            for image in range(b):
+                row = k * b + image
+                np.testing.assert_array_equal(dirs[row], p.dirs)
+                for token in (0, h * w - 1):
+                    flat = int(p.order[token])
+                    assert fold_site(paths, b, row, token) == (p.path_id.value, image,
+                                                               (flat // w, flat % w))
 
 
 class TestDumpCsv:

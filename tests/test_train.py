@@ -170,18 +170,22 @@ class TestTrainLoop:
         assert result.first_loss == pytest.approx(np.log(10.0), abs=0.4)
 
     def test_final_eval_row_matches_evaluate(self, tmp_path):
-        cfg = small_cfg(tmp_path, steps=4)
-        result = train(cfg)
-        rows = read_log(cfg.log_path)
-        assert rows[-1]["phase"] == "eval"
-        assert float(rows[-1]["loss"]) == pytest.approx(result.final_loss, abs=1e-6)
-        assert float(rows[-1]["accuracy"]) == pytest.approx(result.final_accuracy, abs=1e-6)
-        # the checkpoint on disk is the evaluated model
-        loaded = load_checkpoint(cfg.checkpoint_path)
-        ds = ToyDataset(cfg.n_samples, seed=cfg.data_seed, resolution=32)
-        loss, acc = evaluate(loaded, ds)
-        assert loss == pytest.approx(result.final_loss, abs=1e-9)
-        assert acc == result.final_accuracy
+        # batch 96 trains at a batch size above evaluate()'s default of 64
+        for batch_size, steps, n_samples in ((4, 4, 16), (96, 2, 200)):
+            out = tmp_path / str(batch_size)
+            out.mkdir()
+            cfg = small_cfg(out, steps=steps, batch_size=batch_size, n_samples=n_samples)
+            result = train(cfg)
+            rows = read_log(cfg.log_path)
+            assert rows[-1]["phase"] == "eval"
+            assert float(rows[-1]["loss"]) == pytest.approx(result.final_loss, abs=1e-6)
+            assert float(rows[-1]["accuracy"]) == pytest.approx(result.final_accuracy, abs=1e-6)
+            # the checkpoint on disk is the evaluated model
+            loaded = load_checkpoint(cfg.checkpoint_path)
+            ds = ToyDataset(cfg.n_samples, seed=cfg.data_seed, resolution=32)
+            loss, acc = evaluate(loaded, ds)
+            assert loss == pytest.approx(result.final_loss, abs=1e-9), batch_size
+            assert acc == result.final_accuracy
 
     def test_divergence_aborts_and_keeps_last_good_checkpoint(self, tmp_path, monkeypatch):
         clean_dir = tmp_path / "clean"

@@ -16,11 +16,10 @@ it takes and returns a channels-last (B, H, W, C) map. On that layout a 1x1
 conv (PointwiseConv) is a linear map of each position's channels; the 3x3
 stride-2 Conv2d serves only the stem and the downsamplers.
 
-In eval mode the BNs after ConvMlp's expand and depthwise convs and after
-MambaBranch's out-projection are folded into that conv's weight and bias
-(BatchNorm2d.fold), per forward from the current statistics, so they cost no
-pass over the map; every other eval BN is one affine pass. Training mode
-runs each BN as its own op.
+The BNs after ConvMlp's expand and depthwise convs and after MambaBranch's
+out-projection are applied with BatchNorm2d.after, which in eval mode folds
+the BN into that conv's weight and bias; every other eval BN is one affine
+pass. Only the BNs read the train/eval mode.
 """
 
 from __future__ import annotations
@@ -63,12 +62,8 @@ class ConvMlp(Module):
         self.project = PointwiseConv(hidden, channels, bias=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        if self.training:
-            x = ad.gelu(self.norm1(self.expand(x)))
-            x = ad.gelu(self.norm2(self.dwconv(x)))
-        else:
-            x = ad.gelu(ad.linear(x, *self.norm1.fold(self.expand.weight)))
-            x = ad.gelu(ad.depthwise_conv2d(x, *self.norm2.fold(self.dwconv.weight)))
+        x = ad.gelu(self.norm1.after(ad.linear, x, self.expand.weight))
+        x = ad.gelu(self.norm2.after(ad.depthwise_conv2d, x, self.dwconv.weight))
         return self.project(x)
 
 
@@ -118,9 +113,7 @@ class MambaBranch(Module):
         z = ad.add_map(z, pos)
         z = ad.silu(self.dwconv(z))
         z = self.mix_norm(directional_scan_sum(z, self.ssm))
-        if self.training:
-            return self.out_norm(self.out_proj(z))
-        return ad.linear(z, *self.out_norm.fold(self.out_proj.weight))
+        return self.out_norm.after(ad.linear, z, self.out_proj.weight)
 
 
 class MdmBlock(Module):

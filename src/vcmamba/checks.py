@@ -7,9 +7,9 @@ stochastic suites accept a trial count so the CLI can run reduced sizes
 
 from __future__ import annotations
 
-import os
 import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -406,19 +406,19 @@ def check_checkpoint_roundtrip() -> CheckResult:
     model.eval()
     y_ref = model(x)
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "m.ckpt")
+        path = Path(tmp, "m.ckpt")
         save_checkpoint(model, path)
         clone = load_checkpoint(path).eval()
         if not np.array_equal(clone(x).data, y_ref.data):
             return _result("checkpoint_roundtrip", False, "round trip is not bit-exact")
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:len(blob) // 2])
+        blob = path.read_bytes()
+        path.write_bytes(blob[:len(blob) // 2])
         try:
             load_checkpoint(path)
             return _result("checkpoint_roundtrip", False, "truncated file was accepted")
         except CheckpointIntegrityError:
             pass
-        open(path, "wb").write(b"NOPE" + blob[4:])
+        path.write_bytes(b"NOPE" + blob[4:])
         try:
             load_checkpoint(path)
             return _result("checkpoint_roundtrip", False, "bad magic was accepted")

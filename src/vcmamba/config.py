@@ -25,11 +25,12 @@ Grammar (every key optional, defaults shown):
     seed = 0
 
 Comments start with # or ; (also inline). Interpolation is disabled. Unknown
-sections or keys, out-of-range or non-finite values, a checkpoint and log
-that resolve to the same file and a log that is the checkpoint's temporary
-file (<checkpoint>.tmp, written by each save) raise ValidationError before
-any training work starts. Whether the paths can be written is train()'s
-check, so a config may name a directory that does not exist yet.
+sections ([DEFAULT] is not special) or keys, out-of-range or non-finite
+values, a checkpoint and log that resolve to the same file and a log that is
+the checkpoint's temporary file (<checkpoint>.tmp, written by each save)
+raise ValidationError before any training work starts. Whether the paths
+can be written is train()'s check, so a config may name a directory that
+does not exist yet.
 """
 
 from __future__ import annotations
@@ -111,7 +112,8 @@ _SCHEMA = {
 
 
 def load_train_config(path: str) -> TrainConfig:
-    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"),
+                                       default_section="")
     try:
         with open(path) as f:
             parser.read_file(f)

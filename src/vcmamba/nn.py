@@ -9,6 +9,7 @@ float32 from one generator in attribute insertion order, not named_parameters
 order (own before children's). Module.to casts a whole tree to another dtype.
 Each module knows its dotted name in the tree (Module.qualname), and a
 ModuleError raised in a forward pass names the innermost module it leaves.
+Only BatchNorm2d reads the train/eval mode that Module.train sets on a tree.
 """
 
 from __future__ import annotations
@@ -200,7 +201,8 @@ class Linear(Module):
 
 
 class BatchNorm2d(Module):
-    """Batch norm of a channels-last (B, H, W, C) map, per channel."""
+    """Batch norm of a channels-last (B, H, W, C) map, per channel: batch
+    statistics in training mode, the running statistics in eval mode."""
 
     eps = 1e-5
     momentum = 0.1
@@ -216,11 +218,13 @@ class BatchNorm2d(Module):
         return ad.batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var,
                              training=self.training, momentum=self.momentum, eps=self.eps)
 
-    def fold(self, weight: Tensor) -> tuple[Tensor, Tensor]:
-        """This BN in eval mode folded into the bias-free conv weight before it:
-        the folded (weight, bias), from the current gamma, beta and statistics."""
-        return ad.fold_batch_norm(weight, self.gamma, self.beta, self.running_mean,
-                                  self.running_var, eps=self.eps)
+    def after(self, op, x: Tensor, weight: Tensor) -> Tensor:
+        """This BN of op(x, weight), a bias-free conv or linear. In eval mode it is
+        folded into the conv per call (fold_batch_norm) and costs no pass over the map."""
+        if self.training:
+            return self(op(x, weight))
+        return op(x, *ad.fold_batch_norm(weight, self.gamma, self.beta, self.running_mean,
+                                         self.running_var, eps=self.eps))
 
 
 class LayerNorm(Module):

@@ -53,14 +53,15 @@ class NonFiniteStateError(ModuleError):
     bad token and, in it, the first bad batch row; raised from the four-path
     mix it also names the path, the image and the grid cell (row, col), and
     from a model the module, e.g. "stage4.blocks.2.mamba, path col_snake_br,
-    image 5, cell (3, 4)"."""
+    image 5, cell (3, 4)". The mix fills path, image and cell in place."""
 
-    def __init__(self, token_index: int, row: int, what: str = "value", *,
-                 path: str | None = None, image: int | None = None,
-                 cell: tuple[int, int] | None = None):
+    path: str | None = None
+    image: int | None = None
+    cell: tuple[int, int] | None = None
+
+    def __init__(self, token_index: int, row: int, what: str = "value"):
         super().__init__(token_index, row, what)
         self.token_index, self.row, self.what = token_index, row, what
-        self.path, self.image, self.cell = path, image, cell
 
     def __str__(self) -> str:
         where = f"token index {self.token_index}, batch row {self.row}"
@@ -335,7 +336,6 @@ def directional_scan_sum(features: Tensor, params: SsmParams) -> Tensor:
     try:
         y = direction_aware_scan(inputs, params)
     except NonFiniteStateError as err:
-        path, image, cell = fold_site(paths, bsz, err.row, err.token_index)
-        raise NonFiniteStateError(err.token_index, err.row, err.what, path=path,
-                                  image=image, cell=cell) from err
+        err.path, err.image, err.cell = fold_site(paths, bsz, err.row, err.token_index)
+        raise
     return scatter_tokens(y, paths)

@@ -265,13 +265,12 @@ def batch_norms(module):
     return found
 
 
-def unfolded(module):
-    """module as an eval forward with no BN folded: the blocks take their
-    training route, and every BN in it runs its own eval-mode pass."""
-    module.train()
-    for norm in batch_norms(module):
-        norm.eval()
-    return module
+def unfolded(module, x):
+    """module's eval forward of x with no BN folded: BatchNorm2d.after runs
+    the conv and then the BN's own eval-mode batch_norm pass."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(BatchNorm2d, "after", lambda norm, op, inp, weight: norm(op(inp, weight)))
+        return module.eval()(x)
 
 
 def scramble_batch_norms(module, rng):
@@ -303,6 +302,22 @@ class TestEvalBatchNormFold:
         module.train()(x)
         assert calls == [True] * train_calls
 
+    @pytest.mark.parametrize("make", [
+        lambda: ConvMlp(4), lambda: MambaBranch(4, (3, 3), n_state=4),
+    ], ids=["ConvMlp", "MambaBranch"])
+    @pytest.mark.parametrize("norms_training", [True, False], ids=["train_bn", "eval_bn"])
+    def test_only_the_batch_norms_read_the_mode(self, rng, make, norms_training):
+        module = make().draw(make_rng())
+        scramble_batch_norms(module, rng)
+        x = Tensor(rng.normal(size=(2, 3, 3, 4)).astype(np.float32))
+        outputs = []
+        for training in (True, False):
+            module.train(training)
+            for norm in batch_norms(module):
+                norm.train(norms_training)
+            outputs.append(module(x).data)
+        np.testing.assert_array_equal(outputs[0], outputs[1])
+
     @pytest.mark.parametrize("which", ["mdm_block", "nano"])
     def test_folded_matches_unfolded_in_float64(self, rng, which):
         if which == "nano":
@@ -313,7 +328,7 @@ class TestEvalBatchNormFold:
             x = Tensor(rng.normal(size=(2, 3, 3, 4)), dtype=F64)
         scramble_batch_norms(model, rng)
         got = model.eval()(x).data
-        want = unfolded(model)(x).data
+        want = unfolded(model, x).data
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_a_changed_gamma_or_variance_takes_effect_at_once(self, rng):
@@ -328,5 +343,5 @@ class TestEvalBatchNormFold:
             array[0] *= factor
             after = block.eval()(x).data
             assert not np.array_equal(after, before)
-            want = unfolded(block)(x).data
+            want = unfolded(block, x).data
             assert np.abs(after - want).max() <= 1e-12 * np.abs(want).max()

@@ -136,6 +136,15 @@ n_samples = 16
         assert main(["train", "--config", str(cfg)]) == 1
         assert "momentum" in capsys.readouterr().err
 
+    def test_default_section_exits_one_before_training(self, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(f"[DEFAULT]\nlr = 0.5\n[train]\nsteps = 1\ncheckpoint = {ckpt}\n"
+                       f"log = {tmp_path / 'log.csv'}\n")
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert "[DEFAULT]" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     @pytest.mark.parametrize("line", ["lr = nan", "lr = inf", "eps = nan", "weight_decay = inf"])
     def test_non_finite_float_exits_one_before_training(self, tmp_path, capsys, line):
         ckpt = tmp_path / "m.ckpt"

@@ -104,6 +104,15 @@ class TestRejection:
         with pytest.raises(ValidationError, match=r"unknown config section \[swarm\]"):
             load_train_config(write(tmp_path, "[swarm]\nn = 3\n"))
 
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nsteps = 7\nlr = 0.5\n",
+        "[DEFAULT]\nlr = 0.5\n[optimizer]\nbeta1 = 0.9\n",
+        "[DEFAULT]\nlr = 0.5\n[optimizer]\nbeta1 = 0.9\n[train]\nsteps = 7\n",
+    ], ids=["alone", "with_optimizer", "with_optimizer_and_train"])
+    def test_default_section_is_an_unknown_section(self, tmp_path, text):
+        with pytest.raises(ValidationError, match=r"unknown config section \[DEFAULT\]"):
+            load_train_config(write(tmp_path, text))
+
     def test_unknown_key(self, tmp_path):
         with pytest.raises(ValidationError, match="unknown key 'momentum'"):
             load_train_config(write(tmp_path, "[optimizer]\nmomentum = 0.9\n"))

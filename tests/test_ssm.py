@@ -655,7 +655,10 @@ class TestDirectionalMix:
         got = err.value
         assert (got.path, got.image, got.cell) == ("col_snake_br", 1, (1, 2))
         assert (got.token_index, got.row) == (0, 7)
-        assert "path col_snake_br, image 1, cell (1, 2)" in str(got)
+        assert str(got) == ("scan produced a non-finite delta at path col_snake_br, "
+                            "image 1, cell (1, 2) (token index 0, batch row 7)")
+        # the mix fills in the kernel's own error; it chains no second one
+        assert got.__cause__ is None and got.__context__ is None
 
     def test_mix_normalizes_channels_at_each_position(self, rng):
         d = 8

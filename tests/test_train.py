@@ -161,9 +161,9 @@ class TestTrainLoop:
         (tmp_path / "b").mkdir()
         train(cfg_a)
         train(cfg_b)
-        assert open(cfg_a.log_path, "rb").read() == open(cfg_b.log_path, "rb").read()
-        assert open(cfg_a.checkpoint_path, "rb").read() == \
-            open(cfg_b.checkpoint_path, "rb").read()
+        assert Path(cfg_a.log_path).read_bytes() == Path(cfg_b.log_path).read_bytes()
+        assert Path(cfg_a.checkpoint_path).read_bytes() == \
+            Path(cfg_b.checkpoint_path).read_bytes()
 
     def test_first_loss_near_log_ten(self, tmp_path):
         result = train(small_cfg(tmp_path, steps=1))
@@ -192,7 +192,7 @@ class TestTrainLoop:
         clean_dir.mkdir()
         clean = small_cfg(clean_dir, steps=2)
         train(clean)
-        good_bytes = open(clean.checkpoint_path, "rb").read()
+        good_bytes = Path(clean.checkpoint_path).read_bytes()
 
         real = ad.softmax_cross_entropy
         calls = {"n": 0}
@@ -212,7 +212,7 @@ class TestTrainLoop:
         assert err.value.step == 3
         assert "checkpoint" in str(err.value)
         # retained file is the step-2 state: identical to a clean 2-step run
-        assert open(cfg.checkpoint_path, "rb").read() == good_bytes
+        assert Path(cfg.checkpoint_path).read_bytes() == good_bytes
         # the log says so: the loss was measured (nan), nothing after it was
         rows = read_log(cfg.log_path)
         assert [r["phase"] for r in rows] == ["train", "train", "diverged"]

@@ -19,7 +19,7 @@ from .scanpath import Direction, PathId, ScanPath, build_path, path_table
 from .ssm import (NonFiniteStateError, ScanInputs, SsmParams, direction_aware_scan,
                   directional_scan_sum, selective_projection, selective_scan_parallel,
                   selective_scan_sequential)
-from .train import TrainingDiverged, TrainResult, evaluate, train
+from .train import TrainingDiverged, TrainResult, evaluate, train, train_step
 
 __version__ = "0.1.0"
 
@@ -33,5 +33,5 @@ __all__ = [
     "evaluate", "finite_diff_check", "get_preset", "load_checkpoint", "load_train_config",
     "path_table", "render_sample", "save_checkpoint",
     "selective_projection", "selective_scan_parallel", "selective_scan_sequential", "train",
-    "build_path",
+    "train_step", "build_path",
 ]

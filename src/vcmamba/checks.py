@@ -14,15 +14,17 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor, backward
+from .autodiff import Tensor
 from .checkpoint import (CheckpointFormatError, CheckpointIntegrityError, load_checkpoint,
                          save_checkpoint)
 from .data import ToyDataset
 from .gradcheck import finite_diff_check
 from .model import PRESETS, VCMamba, count_macs, count_params
+from .optim import AdamW
 from .scanpath import Direction, PathId, build_path, gather_tokens, path_table, scatter_tokens
 from .ssm import (CHUNK, N_DIRECTIONS, ScanInputs, SsmParams, _chunk_states, _discretize,
                   direction_aware_scan, selective_scan_parallel, selective_scan_sequential)
+from .train import train_step
 
 
 @dataclass
@@ -367,23 +369,15 @@ def check_determinism() -> CheckResult:
     for (na, pa), (nb, pb) in zip(a.named_parameters(), b.named_parameters()):
         if na != nb or not np.array_equal(pa.data, pb.data):
             return _result("determinism", False, f"same-seed builds differ at {na}")
-    x = Tensor(np.random.default_rng(3).random((2, 3, 32, 32), dtype=np.float32))
-    ya = a.eval()(x)
-    yb = b.eval()(x)
-    if not np.array_equal(ya.data, yb.data):
+    x = np.random.default_rng(3).random((2, 3, 32, 32), dtype=np.float32)
+    if not np.array_equal(a.eval()(Tensor(x)).data, b.eval()(Tensor(x)).data):
         return _result("determinism", False, "same-seed eval forwards differ")
-    with Tape():
-        loss = ad.softmax_cross_entropy(a.train()(x), np.array([0, 1]))
-    backward(loss)
-    g1 = {n: p.grad.copy() for n, p in a.named_parameters()}
-    a.zero_grad()
-    with Tape():
-        loss = ad.softmax_cross_entropy(a.train()(x), np.array([0, 1]))
-    backward(loss)
-    for n, p in a.named_parameters():
-        if not np.array_equal(g1[n], p.grad):
-            return _result("determinism", False, f"repeated backward differs at {n}")
-    return _result("determinism", True, "same-seed build, forward and backward bit-identical")
+    for model in (a, b):
+        train_step(model.train(), AdamW(model.named_parameters()), x, np.array([0, 1]))
+    for (n, pa), (_, pb) in zip(a.named_parameters(), b.named_parameters()):
+        if not (np.array_equal(pa.grad, pb.grad) and np.array_equal(pa.data, pb.data)):
+            return _result("determinism", False, f"same-seed train steps differ at {n}")
+    return _result("determinism", True, "same-seed builds, forwards and train steps bit-identical")
 
 
 def check_dataset() -> CheckResult:

@@ -61,10 +61,10 @@ def _cmd_macs(args) -> int:
 def _cmd_train(args) -> int:
     cfg = load_train_config(args.config)
     result = train(cfg)
-    print(f"trained {result.steps_run} steps: first train loss {result.first_loss:.4f}, "
+    print(f"trained {cfg.steps} steps: first train loss {result.first_loss:.4f}, "
           f"final eval loss {result.final_loss:.4f}, accuracy {result.final_accuracy:.4f}")
-    print(f"checkpoint: {result.checkpoint_path}")
-    print(f"log: {result.log_path}")
+    print(f"checkpoint: {cfg.checkpoint_path}")
+    print(f"log: {cfg.log_path}")
     return 0
 
 

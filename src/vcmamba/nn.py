@@ -121,10 +121,6 @@ class Module:
             child.to(dtype)
         return self
 
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
-
     def __call__(self, *args, **kwargs):
         try:
             return self.forward(*args, **kwargs)

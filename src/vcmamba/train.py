@@ -1,5 +1,9 @@
 """Training and evaluation loops for the toy task.
 
+train_step() is the one training step: forward on a fresh tape, loss,
+backward, gradient norm and AdamW update. Its step number is AdamW's
+step_count, which the update advances. train() runs it cfg.steps times.
+
 The CSV log has columns step,phase,loss,accuracy,grad_norm. Per-step rows
 carry phase=train with batch metrics; after the last step one phase=eval row
 records full-training-set metrics in eval mode (grad_norm 0.0), so the log's
@@ -8,15 +12,15 @@ diverged run ends instead with a phase=diverged row, nan where not measured.
 
 The checkpoint file always holds the most recent finite state: it is
 written at initialization, every checkpoint_every steps and at the end
-(unless the last step just wrote it). If
-the loss or the gradient norm turns non-finite, or the forward pass meets a
-non-finite scan delta or state (NonFiniteStateError), the run aborts with
-TrainingDiverged before the update and the last written checkpoint stays on
-disk untouched. The scan backward checks nothing: a non-finite scan gradient
-shows up as a non-finite gradient norm. Before the first save, both output
-paths must lie in an existing directory and not be directories themselves
-(ValidationError otherwise), and the log is opened and its header written,
-so a bad log path cannot replace a checkpoint already on disk.
+(unless the last step just wrote it). A non-finite scan delta or state
+(NonFiniteStateError), loss or gradient norm makes the step raise
+TrainingDiverged before the update: the parameters, AdamW and the checkpoint
+on disk are untouched (the failed forward's batch-norm running statistics
+have moved, but train() never saves them). The scan backward checks nothing:
+a non-finite scan gradient shows up as a non-finite gradient norm. Before the
+first save, both output paths must lie in an existing directory and not be
+directories (ValidationError otherwise), and the log is opened and its header
+written, so a bad log path cannot replace a checkpoint already on disk.
 """
 
 from __future__ import annotations
@@ -39,27 +43,52 @@ from .ssm import NonFiniteStateError
 
 
 class TrainingDiverged(RuntimeError):
-    """A scan state (the NonFiniteStateError given as state), else the loss,
-    else the gradient norm was non-finite."""
+    """A step met a non-finite value (fault, e.g. "loss (nan)") and stopped
+    before the update. loss and grad_norm are nan where not reached; train()
+    fills in checkpoint_path, the last-good checkpoint, in place."""
 
-    def __init__(self, step: int, loss: float, checkpoint_path: str,
-                 grad_norm: float = math.nan, state: NonFiniteStateError | None = None):
-        bad = f"gradient norm ({grad_norm})" if math.isfinite(loss) else f"loss ({loss})"
-        if state is not None:
-            bad = f"model state ({state})"
-        super().__init__(f"non-finite {bad} at step {step}; last-good checkpoint "
-                         f"retained at {checkpoint_path}")
-        self.step = step
+    checkpoint_path: str | None = None
+
+    def __init__(self, fault: str, step: int, loss: float = math.nan, grad_norm: float = math.nan):
+        super().__init__(fault, step, loss, grad_norm)
+        self.fault, self.step, self.loss, self.grad_norm = fault, step, loss, grad_norm
+
+    def __str__(self) -> str:
+        text = f"non-finite {self.fault} at step {self.step}"
+        if self.checkpoint_path is not None:
+            text += f"; last-good checkpoint retained at {self.checkpoint_path}"
+        return text
 
 
 @dataclass
 class TrainResult:
-    steps_run: int
     final_loss: float        # eval-mode mean loss on the training set
     final_accuracy: float    # eval-mode accuracy on the training set
     first_loss: float        # train loss at step 1
-    checkpoint_path: str
-    log_path: str
+
+
+def train_step(model: VCMamba, opt: AdamW, images: np.ndarray,
+               labels: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """Step opt.step_count + 1 on one batch, in the model's dtype; returns
+    (loss, grad_norm, logits array). Raises TrainingDiverged before the
+    update on a non-finite scan state, loss or gradient norm."""
+    step = opt.step_count + 1
+    try:
+        with Tape():
+            logits = model(Tensor(images, dtype=model.dtype))
+            loss = ad.softmax_cross_entropy(logits, labels)
+    except NonFiniteStateError as exc:
+        raise TrainingDiverged(f"model state ({exc})", step) from exc
+    loss_val = loss.item()
+    if not math.isfinite(loss_val):
+        raise TrainingDiverged(f"loss ({loss_val})", step, loss_val)
+    opt.zero_grad()
+    ad.backward(loss)
+    gnorm = opt.grad_norm()
+    if not math.isfinite(gnorm):
+        raise TrainingDiverged(f"gradient norm ({gnorm})", step, loss_val, gnorm)
+    opt.step()
+    return loss_val, gnorm, logits.data
 
 
 def evaluate(model: VCMamba, dataset: ToyDataset, *, batch_size: int = 64) -> tuple[float, float]:
@@ -103,29 +132,21 @@ def train(cfg: TrainConfig) -> TrainResult:
         log.writerow(["step", "phase", "loss", "accuracy", "grad_norm"])
         save_checkpoint(model, cfg.checkpoint_path)
         model.train()
-        for step in range(1, cfg.steps + 1):
+        while opt.step_count < cfg.steps:
             idx = batch_rng.integers(0, len(dataset), size=cfg.batch_size)
             imgs, labels = dataset.images[idx], dataset.labels[idx]
-            loss_val, gnorm, state = math.nan, math.nan, None
             try:
-                with Tape():
-                    logits = model(Tensor(imgs))
-                    loss = ad.softmax_cross_entropy(logits, labels)
-                loss_val = loss.item()
-                if math.isfinite(loss_val):
-                    opt.zero_grad()
-                    ad.backward(loss)
-                    gnorm = opt.grad_norm()
-            except NonFiniteStateError as exc:
-                state = exc
-            if state is not None or not math.isfinite(gnorm):
-                log.writerow([step, "diverged", f"{loss_val:.6f}", "nan", f"{gnorm:.6f}"])
-                raise TrainingDiverged(step, loss_val, cfg.checkpoint_path, gnorm, state) from state
+                loss, gnorm, logits = train_step(model, opt, imgs, labels)
+            except TrainingDiverged as err:
+                log.writerow([err.step, "diverged", f"{err.loss:.6f}", "nan",
+                              f"{err.grad_norm:.6f}"])
+                err.checkpoint_path = cfg.checkpoint_path
+                raise
+            step = opt.step_count
             if step == 1:
-                first_loss = loss_val
-            opt.step()
-            acc = float((logits.data.argmax(axis=1) == labels).mean())
-            log.writerow([step, "train", f"{loss_val:.6f}", f"{acc:.6f}", f"{gnorm:.6f}"])
+                first_loss = loss
+            acc = float((logits.argmax(axis=1) == labels).mean())
+            log.writerow([step, "train", f"{loss:.6f}", f"{acc:.6f}", f"{gnorm:.6f}"])
             if step % cfg.checkpoint_every == 0:
                 save_checkpoint(model, cfg.checkpoint_path)
 
@@ -134,6 +155,4 @@ def train(cfg: TrainConfig) -> TrainResult:
         eval_loss, eval_acc = evaluate(model, dataset)
         log.writerow([cfg.steps, "eval", f"{eval_loss:.6f}", f"{eval_acc:.6f}", "0.000000"])
 
-    return TrainResult(steps_run=cfg.steps, final_loss=eval_loss, final_accuracy=eval_acc,
-                       first_loss=first_loss, checkpoint_path=cfg.checkpoint_path,
-                       log_path=cfg.log_path)
+    return TrainResult(final_loss=eval_loss, final_accuracy=eval_acc, first_loss=first_loss)

@@ -211,7 +211,7 @@ n_samples = 16
         cfg.write_text("[train]\nsteps = 1\n")
 
         def blow_up(_cfg):
-            raise TrainingDiverged(3, float("nan"), "x.ckpt")
+            raise TrainingDiverged("loss (nan)", 3, float("nan"))
 
         monkeypatch.setattr(cli, "train", blow_up)
         assert main(["train", "--config", str(cfg)]) == 2

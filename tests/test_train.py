@@ -2,7 +2,8 @@
 
 The training loop contracts under test: bitwise reproducibility for a fixed
 seed, under one or two BLAS threads alike, zero learning rate changes
-nothing, divergence aborts while keeping the last finite-loss checkpoint on
+nothing, a diverged train_step leaves the parameters and AdamW bit-unchanged,
+divergence aborts training while keeping the last finite-loss checkpoint on
 disk and closing the log with a diverged row, and the log's closing eval row
 is exactly what evaluate() reports. A fresh run of the reference config
 reproduces the committed log's first rows within the benchmark's gate.
@@ -141,10 +142,89 @@ class TestEvaluate:
         assert l1 == pytest.approx(l2, abs=1e-6)
 
 
+# Each plants one fault in a train step and returns a function that gives what
+# the step's TrainingDiverged must carry: (fault, loss, grad_norm).
+def plant_nan_dt_bias(monkeypatch, model):
+    dict(model.named_parameters())["stage4.blocks.0.mamba.ssm.dt_bias"].data[0] = np.nan
+    return lambda: ("model state", math.nan, math.nan)
+
+
+def plant_nan_loss(monkeypatch, model):
+    monkeypatch.setattr(ad, "softmax_cross_entropy", lambda logits, labels: Tensor(np.nan))
+    return lambda: ("loss", math.nan, math.nan)
+
+
+def plant_nan_gradient(monkeypatch, model):
+    real_backward = ad.backward
+    losses = []
+
+    def poisoned_backward(loss):
+        losses.append(loss.item())
+        real_backward(loss)
+        model.stem.conv1.weight.grad[0, 0, 0, 0] = np.nan
+
+    monkeypatch.setattr(ad, "backward", poisoned_backward)
+    return lambda: ("gradient norm", losses[0], math.nan)
+
+
+class TestTrainStep:
+    """train_step, the one forward -> backward -> update sequence."""
+
+    @staticmethod
+    def stepped_model():
+        # one clean step first, so AdamW's moments and count are not at zero
+        model = VCMamba(get_preset("nano"), seed=0).train()
+        opt = AdamW(model.named_parameters())
+        data = ToyDataset(4, seed=0)
+        train_module.train_step(model, opt, data.images, data.labels)
+        return model, opt, data
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in logaddexp:RuntimeWarning")
+    @pytest.mark.parametrize("plant", [plant_nan_dt_bias, plant_nan_loss, plant_nan_gradient])
+    def test_fault_raises_before_the_update(self, monkeypatch, plant):
+        model, opt, data = self.stepped_model()
+        expected = plant(monkeypatch, model)
+
+        def state():
+            return ([p.data.tobytes() for p in model.parameters()],
+                    [m.tobytes() for m in opt._m], [v.tobytes() for v in opt._v],
+                    opt.step_count)
+
+        before = state()
+        with pytest.raises(TrainingDiverged) as err:
+            train_module.train_step(model, opt, data.images, data.labels)
+        assert err.value.step == opt.step_count + 1 == 2
+        fault, loss, grad_norm = expected()
+        assert err.value.fault.startswith(f"{fault} (")
+        # nan matches nan here
+        np.testing.assert_array_equal((err.value.loss, err.value.grad_norm), (loss, grad_norm))
+        assert err.value.checkpoint_path is None
+        assert state() == before
+
+    def test_float64_model_steps_in_float64(self, monkeypatch):
+        # float32 images enter a float64 model as float64
+        model = VCMamba(get_preset("nano"), seed=0).to(np.float64).train()
+        opt = AdamW(model.named_parameters())
+        data = ToyDataset(2, seed=0)
+        assert data.images.dtype == np.float32
+        real_forward, inputs = model.forward, []
+
+        def forward(x):
+            inputs.append(x.dtype)
+            return real_forward(x)
+
+        monkeypatch.setattr(model, "forward", forward)
+        loss, gnorm, logits = train_module.train_step(model, opt, data.images, data.labels)
+        assert inputs == [np.float64] and logits.dtype == np.float64
+        assert math.isfinite(loss) and math.isfinite(gnorm) and opt.step_count == 1
+        for p in model.parameters():
+            assert p.data.dtype == p.grad.dtype == np.float64
+
+
 class TestTrainLoop:
     def test_log_schema_and_lengths(self, tmp_path):
         cfg = small_cfg(tmp_path)
-        result = train(cfg)
+        train(cfg)
         rows = read_log(cfg.log_path)
         assert [r["phase"] for r in rows] == ["train"] * 3 + ["eval"]
         assert list(rows[0].keys()) == ["step", "phase", "loss", "accuracy", "grad_norm"]
@@ -152,7 +232,6 @@ class TestTrainLoop:
         for row in rows[:-1]:
             assert float(row["grad_norm"]) > 0.0
             assert math.isfinite(float(row["loss"]))
-        assert result.steps_run == 3
 
     def test_same_seed_reproduces_log_and_checkpoint_bytes(self, tmp_path):
         cfg_a = small_cfg(tmp_path / "a")
@@ -210,7 +289,8 @@ class TestTrainLoop:
         with pytest.raises(TrainingDiverged) as err:
             train(cfg)
         assert err.value.step == 3
-        assert "checkpoint" in str(err.value)
+        assert str(err.value) == ("non-finite loss (nan) at step 3; last-good checkpoint "
+                                  f"retained at {cfg.checkpoint_path}")
         # retained file is the step-2 state: identical to a clean 2-step run
         assert Path(cfg.checkpoint_path).read_bytes() == good_bytes
         # the log says so: the loss was measured (nan), nothing after it was
@@ -242,6 +322,8 @@ class TestTrainLoop:
         with pytest.raises(TrainingDiverged, match="gradient") as err:
             train(cfg)
         assert err.value.step == 2
+        assert str(err.value) == ("non-finite gradient norm (nan) at step 2; last-good "
+                                  f"checkpoint retained at {cfg.checkpoint_path}")
         rows = read_log(cfg.log_path)
         assert [r["phase"] for r in rows] == ["train", "diverged"]
         step, _, loss, acc, gnorm = rows[-1].values()
@@ -292,13 +374,15 @@ class TestTrainLoop:
             dict(opt.params)["stage4.blocks.2.mamba.ssm.dt_bias"].data[0] = np.nan
 
         monkeypatch.setattr(AdamW, "step", poisoned_step)
+        cfg = small_cfg(tmp_path)
         with pytest.raises(TrainingDiverged) as err:
-            train(small_cfg(tmp_path))
+            train(cfg)
         state = err.value.__cause__
         assert state.module == "stage4.blocks.2.mamba"
-        assert ("non-finite model state (scan produced a non-finite delta at "
-                "stage4.blocks.2.mamba, path row_snake_tl, image 0, cell (0, 0) "
-                "(token index 0, batch row 0)) at step 2") in str(err.value)
+        assert str(err.value) == ("non-finite model state (scan produced a non-finite delta at "
+                                  "stage4.blocks.2.mamba, path row_snake_tl, image 0, cell (0, 0) "
+                                  "(token index 0, batch row 0)) at step 2; last-good checkpoint "
+                                  f"retained at {cfg.checkpoint_path}")
 
     def test_invalid_config_rejected_before_work(self, tmp_path):
         with pytest.raises(ValueError):

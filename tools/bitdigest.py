@@ -2,8 +2,8 @@
 
 Two source trees that print the same digests on one machine compute the same
 floats there, bit for bit. Each configuration builds its model from seed 0 and
-runs a few AdamW train steps on the first toy images at the model's
-resolution. The `train` digest covers, for every step, the logits, the loss,
+runs a few `train_step`s, the step `train()` runs, on the first toy images at
+the model's resolution. The `train` digest covers, for every step, the logits, the loss,
 the gradient norm, every parameter gradient, the parameters after the update
 and the batch-norm buffers. The `eval` digest covers the logits of one
 eval-mode forward after the last step, so a change to the eval route alone
@@ -22,11 +22,11 @@ import hashlib
 
 import numpy as np
 
-from vcmamba import autodiff as ad
-from vcmamba.autodiff import Tape, Tensor
+from vcmamba.autodiff import Tensor
 from vcmamba.data import ToyDataset
 from vcmamba.model import ModelSpec, VCMamba, get_preset
 from vcmamba.optim import AdamW
+from vcmamba.train import train_step
 
 # name -> (spec, batch size, train steps, dtype)
 CONFIGS = {
@@ -48,20 +48,14 @@ def digest(spec: ModelSpec, batch: int, steps: int, dtype) -> tuple[str, str]:
 
     model = VCMamba(spec, seed=0).to(dtype).train()
     data = ToyDataset(batch, seed=0, resolution=spec.input_resolution)
-    images = data.images.astype(dtype)
     opt = AdamW(model.named_parameters())
     params = [p for _, p in model.named_parameters()]
     for _ in range(steps):
-        with Tape():
-            logits = model(Tensor(images, dtype=dtype))
-            loss = ad.softmax_cross_entropy(logits, data.labels)
-        opt.zero_grad()
-        ad.backward(loss)
-        feed(logits.data, loss.data, np.float64(opt.grad_norm()), *(p.grad for p in params))
-        opt.step()
-        feed(*(p.data for p in params), *(b for _, b in model.named_buffers()))
+        loss, gnorm, logits = train_step(model, opt, data.images, data.labels)
+        feed(logits, np.asarray(loss, dtype), np.float64(gnorm), *(p.grad for p in params),
+             *(p.data for p in params), *(b for _, b in model.named_buffers()))
     model.eval()
-    evaluation = hashlib.sha256(model(Tensor(images, dtype=dtype)).data.tobytes())
+    evaluation = hashlib.sha256(model(Tensor(data.images, dtype=dtype)).data.tobytes())
     return train.hexdigest()[:16], evaluation.hexdigest()[:16]
 
 

@@ -40,8 +40,12 @@ So an output no vjp closure captures dies with the forward: gelu, silu, relu
 and softplus take their slope when the node records and keep only that, and
 the batch_norm output feeding each GELU is freed once the GELU has run.
 A vjp keeps no array it can rebuild in one or two elementwise passes from an
-input it holds: batch_norm's rebuilds xhat and depthwise_conv2d's re-pads its
-input, each from the input's data as it is at backward time, with the
+input it holds, or with the one gemm or window gather that made it, from
+operands another node already holds: batch_norm's rebuilds xhat and
+depthwise_conv2d's re-pads its input, each from the input's data as it is at
+backward time; conv2d's regathers its patch matrix from its input; and a
+batch_norm given linear_rebuild(x, w) rebuilds the bias-free linear's output
+it normalizes, from the x and w that linear's vjp holds. Each rebuild runs the
 forward's exact operations.
 """
 
@@ -437,22 +441,34 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return out
 
 
+def linear_rebuild(x: Tensor, w: Tensor) -> Callable[[], np.ndarray]:
+    """A function that returns linear(x, w).data again, bias-free, by linear's
+    own gemm on the arrays x.data and w.data as they are now: the operands
+    linear's vjp holds. A consumer that keeps it, not the output, holds no
+    array that linear's node does not."""
+    x2 = x.data.reshape(-1, x.shape[-1])
+    wmat = w.data.reshape(w.shape[:2])
+    shape = x.shape[:-1] + (w.shape[0],)
+    return lambda: (x2 @ wmat.T).reshape(shape)
+
+
 def conv2d(x: Tensor, w: Tensor) -> Tensor:
     """3x3 cross-correlation of a channels-last (B, H, W, Cin) map at stride 2
     and zero padding 1, weight (Cout, Cin, 3, 3), no bias and no kernel flip:
-    the stem's and the downsamplers' conv. One gemm of the patch matrix, rows
-    (b, oh, ow) and columns (cin, kh, kw), whose (B*oh*ow, Cout) result is
-    already channels-last; the vjp scatters its input gradient tap by tap."""
+    the stem's and the downsamplers' conv. One gemm of the patch matrix
+    (_patches), whose (B*oh*ow, Cout) result is already channels-last. The vjp
+    keeps the input map, not the patch matrix (2.25 times its size): it
+    regathers the patches from x.data, read at backward time, for the weight
+    gradient, and scatters the input gradient tap by tap."""
     if x.ndim != 4 or w.ndim != 4 or w.shape[1:] != (x.shape[3], 3, 3):
         raise ShapeMismatch("conv2d", f"need a (B, H, W, Cin) input and a (Cout, Cin, 3, 3) "
                                       f"weight, got {x.shape} and {w.shape}")
     bsz, h, wd, cin = x.shape
     cout = w.shape[0]
-    win = _same_windows(x.data)[:, ::2, ::2]
-    oh, ow = win.shape[1:3]
-    cols = np.ascontiguousarray(win).reshape(bsz * oh * ow, cin * 9)
+    cols = _patches(x.data)
+    oh, ow = cols.shape[1:3]
     wmat = w.data.reshape(cout, cin * 9)
-    y = cols @ wmat.T
+    y = cols.reshape(-1, cin * 9) @ wmat.T
     out = Tensor(y.reshape(bsz, oh, ow, cout), dtype=y.dtype)
 
     # the stem's images are the one input in the program that needs no
@@ -461,7 +477,7 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
 
     def vjp(g):
         g2 = g.reshape(-1, cout)
-        gw = (g2.T @ cols).reshape(w.shape)
+        gw = (g2.T @ _patches(x.data).reshape(-1, cin * 9)).reshape(w.shape)
         if not need_x:
             return (None, gw)
         gcols = (g2 @ wmat).reshape(bsz, oh, ow, cin, 3, 3)
@@ -473,6 +489,13 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
 
     record("conv2d", out, (x, w), vjp)
     return out
+
+
+def _patches(a: np.ndarray) -> np.ndarray:
+    """conv2d's patch matrix of a channels-last map: its stride-2 3x3 windows,
+    zero-padded by 1, as a contiguous (B, oh, ow, C*9) array, columns (c, kh, kw)."""
+    win = _same_windows(a)[:, ::2, ::2]
+    return np.ascontiguousarray(win).reshape(win.shape[:3] + (-1,))
 
 
 def _same_windows(a: np.ndarray) -> np.ndarray:
@@ -554,7 +577,7 @@ def _eval_affine(gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
                running_var: np.ndarray, *, training: bool, momentum: float = 0.1,
-               eps: float = 1e-5) -> Tensor:
+               eps: float = 1e-5, rebuild: Callable[[], np.ndarray] | None = None) -> Tensor:
     """Per-channel batch norm of a channels-last (B, H, W, C) map over its B*H*W rows.
 
     running_mean / running_var are plain arrays updated in place in training
@@ -565,6 +588,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
     The gamma and beta gradients are float64 sums of the rows (_channel_sum);
     the vjp rebuilds xhat from x.data, read at backward time, and the mean and
     istd the forward normalized with, by the training forward's operations.
+    Given rebuild, a function that returns x.data again (linear_rebuild), the
+    vjp keeps it instead of x and reads rebuild() for x.data.
     """
     if x.ndim != 4:
         raise ShapeMismatch("batch_norm", f"expected (B, H, W, C) input, got shape {x.shape}")
@@ -590,9 +615,10 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
         y = x.data * s
         y += t
     out = Tensor(y, dtype=x.dtype)
+    source = rebuild or (lambda: x.data)
 
     def vjp(g):
-        xhat = x.data - mean     # the training forward's xhat, by its exact operations
+        xhat = source() - mean   # the training forward's xhat, by its exact operations
         xhat *= istd
         gb = _channel_sum(g)
         gg = _channel_sum(g * xhat)

@@ -20,6 +20,7 @@ from .checkpoint import (CheckpointFormatError, CheckpointIntegrityError, load_c
 from .data import ToyDataset
 from .gradcheck import finite_diff_check
 from .model import PRESETS, VCMamba, count_macs, count_params
+from .nn import BatchNorm2d
 from .optim import AdamW
 from .scanpath import Direction, PathId, build_path, gather_tokens, path_table, scatter_tokens
 from .ssm import (CHUNK, N_DIRECTIONS, ScanInputs, SsmParams, _chunk_states, _discretize,
@@ -279,6 +280,13 @@ def check_gradients() -> CheckResult:
         t.requires_grad = True
     wrt = operands + [params.a_log, params.direction_table, params.skip_gain]
     run("direction_aware_scan", lambda: ad.sum_all(direction_aware_scan(inputs, params)), wrt)
+
+    # a 1x1 conv's training BN, whose vjp rebuilds the conv's output
+    norm, wp = BatchNorm2d(4).to(np.float64), t64(4, 3, 1, 1, scale=0.3)
+    weights = Tensor(rng.standard_normal((2, 6, 6, 4)), dtype=np.float64)
+    run("linear+batch_norm (training, BatchNorm2d.after)",
+        lambda: ad.sum_all(ad.mul(norm.after(ad.linear, x, wp), weights)),
+        [x, wp, norm.gamma, norm.beta])
 
     if failures:
         return _result("gradients", False, "; ".join(failures))

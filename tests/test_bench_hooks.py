@@ -5,7 +5,8 @@ operands' layout to count scanned elements. A rename or a layout change in
 ``src/`` would break ``bench/run.py --trace 1`` without failing any kernel
 test; these trace a single Mamba mixer forward, a single eval ConvMlp
 forward and a taped ConvMlp and Mamba mixer forward and backward, the last
-also off the mixer's native grid, instead.
+also off the mixer's native grid, instead. One more checks that a traced
+ConvMlp still rebuilds, not keeps, its expand output.
 """
 
 import importlib.util
@@ -127,6 +128,24 @@ def test_tracer_times_the_conv_mlp_vjps_and_restores_them():
     for op in ("batch_norm", "depthwise_conv2d"):
         assert metrics[f"autodiff.vjp_s.{op}"] > 0, op
     assert metrics["autodiff.tape_nodes"] > 0
+
+
+def test_traced_conv_mlp_keeps_no_linear_output():
+    # the tracer wraps autodiff.linear; BatchNorm2d.after must still know it
+    # and rebuild the expand output in norm1's vjp instead of keeping it
+    mlp = ConvMlp(4).draw(np.random.default_rng(0))
+    x = Tensor(np.random.default_rng(1).normal(size=(2, 5, 5, 4)), requires_grad=True)
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        with Tape() as tape:
+            loss = ad.sum_all(mlp(x))
+        linears = [node for node in tape._nodes if node.op == "linear"]
+        assert len(linears) == 2 and all(node.out() is None for node in linears)
+        ad.backward(loss)
+    finally:
+        tracer.uninstall()
+    assert mlp.expand.weight.grad is not None
 
 
 def test_tracer_times_the_mamba_branch_vjps_and_restores_them():

@@ -345,3 +345,46 @@ class TestEvalBatchNormFold:
             assert not np.array_equal(after, before)
             want = unfolded(block, x).data
             assert np.abs(after - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def taped_step(module, x, weights, *, backward_inside):
+    """One taped forward of a fresh copy of x and the backward of sum(y * weights),
+    run after the Tape block or inside it, where the tape is consumed and any
+    op that a rebuild ran through would raise. Returns the output, the BN
+    running statistics, the input gradient and every parameter gradient."""
+    for p in module.parameters():
+        p.zero_grad()
+    xt = Tensor(x, requires_grad=True, dtype=x.dtype)
+    with ad.Tape():
+        y = module(xt)
+        loss = ad.sum_all(ad.mul(y, Tensor(weights, dtype=x.dtype)))
+        if backward_inside:
+            ad.backward(loss)
+    if not backward_inside:
+        ad.backward(loss)
+    return ([y.data] + [b.copy() for _, b in module.named_buffers()]
+            + [xt.grad] + [p.grad for p in module.parameters()])
+
+
+class TestTrainingBatchNormRebuild:
+    """A training BN applied with BatchNorm2d.after keeps no copy of a linear's
+    output: its vjp rebuilds it, and moves no bit. The oracle runs each BN on
+    op(x, weight) as it comes, the way `unfolded` checks the eval fold."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, F64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("backward_inside", [False, True], ids=["after_tape", "inside_tape"])
+    @pytest.mark.parametrize("make", [
+        lambda: ConvMlp(4), lambda: MambaBranch(4, (3, 3), n_state=4),
+    ], ids=["ConvMlp", "MambaBranch"])
+    def test_matches_the_kept_output_bit_for_bit(self, rng, make, backward_inside, dtype):
+        x = rng.normal(size=(2, 3, 3, 4)).astype(dtype)
+        weights = rng.normal(size=(2, 3, 3, 4)).astype(dtype)
+        got = taped_step(make().draw(make_rng()).to(dtype), x, weights,
+                         backward_inside=backward_inside)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(BatchNorm2d, "after", lambda norm, op, inp, weight: norm(op(inp, weight)))
+            want = taped_step(make().draw(make_rng()).to(dtype), x, weights,
+                              backward_inside=backward_inside)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == dtype and a.tobytes() == b.tobytes()

@@ -18,9 +18,11 @@ Batch norm's vjp rebuilds xhat from its input, and the depthwise vjp re-pads
 its input, instead of keeping either from the forward. One test checks that
 moving batch norm's running buffers between the forward and the backward
 leaves every gradient bit; another that a taped forward of either op holds
-about its output alone. The depthwise input gradient runs the forward's tap
-sum over the padded gradient, and its vjp peaks at about two input maps; a
-pointwise conv's vjp peaks at about one.
+about its output alone. The conv2d vjp keeps its input, not its patch
+matrix, and a BN after a 1x1 conv rebuilds the conv's output, so a taped
+ConvMlp holds five hidden maps. The depthwise input gradient runs the
+forward's tap sum over the padded gradient, and its vjp peaks at about two
+input maps; a pointwise conv's vjp peaks at about one.
 
 An op builds its output one way whether or not a tape records: GELU, SiLU
 and batch norm write it over their own scratch buffer, and the depthwise
@@ -443,9 +445,9 @@ def test_pointwise_vjp_holds_about_one_input_map():
 
 
 def test_taped_conv_mlp_holds_what_its_vjps_read():
-    # per hidden map: the expand output (norm1 reads it), two GELU slopes, the
-    # depthwise input and output and the project input; no node keeps its
-    # output, so each BN output dies with the GELU it feeds
+    # per hidden map: two GELU slopes, the depthwise input and output and the
+    # project input; no node keeps its output, so each BN output dies with the
+    # GELU it feeds, and norm1 rebuilds the expand output from the block input
     shape = (1, 56, 56, 32)
     mlp = ConvMlp(shape[-1]).draw(np.random.default_rng(0))
     x = Tensor(np.random.default_rng(1).standard_normal(shape).astype(np.float32))
@@ -458,4 +460,25 @@ def test_taped_conv_mlp_holds_what_its_vjps_read():
     finally:
         tracemalloc.stop()
     assert len(tape) == 7
-    assert current <= 6.5 * hidden_bytes, current / hidden_bytes
+    assert current <= 5.5 * hidden_bytes, current / hidden_bytes
+
+
+@pytest.mark.parametrize("shape,cout,grad", [((2, 56, 56, 64), 128, True),
+                                             ((2, 64, 64, 3), 16, False)],
+                         ids=["downsampler", "stem_images"])
+def test_taped_conv2d_holds_its_input_not_its_patches(shape, cout, grad):
+    # the vjp keeps the input map and regathers the patch matrix (2.25 input
+    # maps at stride 2) from it, whether or not the input needs a gradient
+    rng = np.random.default_rng(0)
+    w = Tensor(rng.standard_normal((cout, shape[-1], 3, 3)).astype(np.float32),
+               requires_grad=True)
+    tracemalloc.start()
+    try:
+        x = Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=grad)
+        with Tape():
+            y = ad.conv2d(x, w)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    held = current - y.data.nbytes
+    assert held <= 1.1 * x.data.nbytes, held / x.data.nbytes

@@ -40,13 +40,13 @@ So an output no vjp closure captures dies with the forward: gelu, silu, relu
 and softplus take their slope when the node records and keep only that, and
 the batch_norm output feeding each GELU is freed once the GELU has run.
 A vjp keeps no array it can rebuild in one or two elementwise passes from an
-input it holds, or with the one gemm or window gather that made it, from
-operands another node already holds: batch_norm's rebuilds xhat and
-depthwise_conv2d's re-pads its input, each from the input's data as it is at
-backward time; conv2d's regathers its patch matrix from its input; and a
-batch_norm given linear_rebuild(x, w) rebuilds the bias-free linear's output
-it normalizes, from the x and w that linear's vjp holds. Each rebuild runs the
-forward's exact operations.
+input it holds, or with the one gemm or window gather that made it:
+batch_norm's rebuilds xhat and depthwise_conv2d's re-pads its input, each
+from the input's data as it is at backward time, and conv2d's regathers its
+patch matrix from its input. An op whose output can be rebuilt from operands
+its vjp holds says so on its node (a bias-free linear: its gemm); a consumer
+reads its input through that node, so batch_norm keeps no copy of such an
+output. Each rebuild runs the forward's exact operations.
 """
 
 from __future__ import annotations
@@ -131,9 +131,10 @@ class _Node:
     the output's shape and a weak reference to the output Tensor, so one the
     caller still holds gets its .grad. Each entry of inputs is the producer
     _Node of an input recorded on the same tape, else the input Tensor itself
-    (a leaf), or None where no gradient is wanted."""
+    (a leaf), or None where no gradient is wanted. rebuild, when the op sets
+    it, returns the output's data again from arrays the vjp already holds."""
 
-    __slots__ = ("op", "out", "shape", "inputs", "vjp", "grad")
+    __slots__ = ("op", "out", "shape", "inputs", "vjp", "grad", "rebuild")
 
     def __init__(self, op: str, out: Tensor, inputs: tuple, vjp: Callable):
         self.op = op
@@ -142,6 +143,7 @@ class _Node:
         self.inputs = inputs
         self.vjp = vjp
         self.grad: np.ndarray | None = None
+        self.rebuild: Callable[[], np.ndarray] | None = None
 
 
 class Tape:
@@ -213,8 +215,8 @@ def backward(loss: Tensor) -> None:
     recorded output the caller still holds, end up with a populated .grad
     (accumulated, so zero grads between optimizer steps). Calling backward
     twice on the same tape is an error. Replay pops each node and clears its
-    vjp, inputs and gradient, so nothing the step recorded outlives the
-    backward, even while the caller keeps loss or logits.
+    vjp, inputs, gradient and rebuild, so nothing the step recorded outlives
+    the backward, even while the caller keeps loss or logits.
     """
     tape = loss._tape
     if tape is None:
@@ -230,7 +232,7 @@ def backward(loss: Tensor) -> None:
     while tape._nodes:
         node = tape._nodes.pop()
         g, vjp, inputs = node.grad, node.vjp, node.inputs
-        node.grad = node.vjp = node.inputs = None
+        node.grad = node.vjp = node.inputs = node.rebuild = None
         if g is None:
             continue
         out = node.out()
@@ -415,7 +417,8 @@ def softplus(a: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """x @ w.T + b with x of shape (..., Din) and w of shape (Dout, Din), or a
     pointwise-conv weight (Dout, Din, 1, 1): a 1x1 conv of a channels-last map
-    is this product on each position's channels."""
+    is this product on each position's channels. Recorded without a bias, its
+    node rebuilds the output with the same gemm on the operands its vjp holds."""
     if w.ndim not in (2, 4) or w.shape[2:] not in ((), (1, 1)):
         raise ShapeMismatch("linear", f"weight must be (Dout, Din) or (Dout, Din, 1, 1), "
                                       f"got {w.shape}")
@@ -438,18 +441,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
                 None if b is None else g2.sum(axis=0))
 
     record("linear", out, (x, w, b), vjp)
+    if b is None and out._node is not None:
+        shape = out.shape    # not out, which must die with its last consumer
+        out._node.rebuild = lambda: (x2 @ wmat.T).reshape(shape)
     return out
-
-
-def linear_rebuild(x: Tensor, w: Tensor) -> Callable[[], np.ndarray]:
-    """A function that returns linear(x, w).data again, bias-free, by linear's
-    own gemm on the arrays x.data and w.data as they are now: the operands
-    linear's vjp holds. A consumer that keeps it, not the output, holds no
-    array that linear's node does not."""
-    x2 = x.data.reshape(-1, x.shape[-1])
-    wmat = w.data.reshape(w.shape[:2])
-    shape = x.shape[:-1] + (w.shape[0],)
-    return lambda: (x2 @ wmat.T).reshape(shape)
 
 
 def conv2d(x: Tensor, w: Tensor) -> Tensor:
@@ -567,17 +562,19 @@ def _batch_stats(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _eval_affine(gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
                  running_var: np.ndarray, eps: float):
-    """Eval-mode batch norm as the per-channel map x * s + t: returns istd =
-    1 / sqrt(var + eps), s = gamma * istd and t = beta - mean * s, each taken
-    in float64 and rounded once to gamma's dtype."""
+    """Eval-mode batch norm as the per-channel map x * s + t: returns a copy of
+    running_mean (a vjp must see these statistics, not later updates), istd =
+    1 / sqrt(var + eps), s = gamma * istd and t = beta - mean * s, the last
+    three taken in float64 and rounded once to gamma's dtype."""
+    mean = running_mean.copy()
     istd = 1.0 / np.sqrt(running_var.astype(np.float64) + eps)
     s = gamma.data * istd
-    return tuple(a.astype(gamma.dtype) for a in (istd, s, beta.data - running_mean * s))
+    return (mean,) + tuple(a.astype(gamma.dtype) for a in (istd, s, beta.data - mean * s))
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
                running_var: np.ndarray, *, training: bool, momentum: float = 0.1,
-               eps: float = 1e-5, rebuild: Callable[[], np.ndarray] | None = None) -> Tensor:
+               eps: float = 1e-5) -> Tensor:
     """Per-channel batch norm of a channels-last (B, H, W, C) map over its B*H*W rows.
 
     running_mean / running_var are plain arrays updated in place in training
@@ -588,8 +585,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
     The gamma and beta gradients are float64 sums of the rows (_channel_sum);
     the vjp rebuilds xhat from x.data, read at backward time, and the mean and
     istd the forward normalized with, by the training forward's operations.
-    Given rebuild, a function that returns x.data again (linear_rebuild), the
-    vjp keeps it instead of x and reads rebuild() for x.data.
+    Where x's producing node can rebuild x (a bias-free linear's output), the
+    vjp keeps that node's rebuild instead of x and reads x.data through it.
     """
     if x.ndim != 4:
         raise ShapeMismatch("batch_norm", f"expected (B, H, W, C) input, got shape {x.shape}")
@@ -610,12 +607,11 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
         y = np.multiply(gamma.data, xhat, out=xhat)
         y += beta.data
     else:
-        mean = running_mean.copy()   # the vjp must see these statistics, not later updates
-        istd, s, t = _eval_affine(gamma, beta, mean, running_var, eps)
+        mean, istd, s, t = _eval_affine(gamma, beta, running_mean, running_var, eps)
         y = x.data * s
         y += t
     out = Tensor(y, dtype=x.dtype)
-    source = rebuild or (lambda: x.data)
+    source = (x._node and x._node.rebuild) or (lambda: x.data)
 
     def vjp(g):
         xhat = source() - mean   # the training forward's xhat, by its exact operations
@@ -649,8 +645,7 @@ def fold_batch_norm(w: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.nda
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeMismatch("fold_batch_norm", f"gamma/beta must have shape ({c},), got "
                                                f"{gamma.shape} and {beta.shape}")
-    mean = running_mean.copy()   # the vjp must see these statistics, not later updates
-    istd, s, t = _eval_affine(gamma, beta, mean, running_var, eps)
+    mean, istd, s, t = _eval_affine(gamma, beta, running_mean, running_var, eps)
     rows = s.reshape((c,) + (1,) * (w.ndim - 1))
     weight = Tensor(w.data * rows, dtype=w.dtype)
     bias = Tensor(t, dtype=beta.dtype)

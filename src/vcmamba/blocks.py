@@ -19,9 +19,9 @@ stride-2 Conv2d serves only the stem and the downsamplers.
 The BNs after ConvMlp's expand and depthwise convs and after MambaBranch's
 out-projection are applied with BatchNorm2d.after, which in eval mode folds
 the BN into that conv's weight and bias; every other eval BN is one affine
-pass. In training mode a BN after a 1x1 conv keeps no copy of the conv's
-output for its backward, which rebuilds it. Only the BNs read the train/eval
-mode.
+pass. Only the BNs read the train/eval mode. A training BN keeps no copy of
+a 1x1 conv's output: the conv's tape node rebuilds it for the BN's backward,
+whichever module applies the BN.
 """
 
 from __future__ import annotations

@@ -100,14 +100,15 @@ class TrainConfig:
         return self
 
 
+# section -> key -> TrainConfig field; a key's value is cast to the type of its field's default
 _SCHEMA = {
-    "model": {"preset": ("preset", str)},
-    "optimizer": {"lr": ("lr", float), "beta1": ("beta1", float), "beta2": ("beta2", float),
-                  "eps": ("eps", float), "weight_decay": ("weight_decay", float)},
-    "train": {"batch_size": ("batch_size", int), "steps": ("steps", int),
-              "seed": ("seed", int), "checkpoint_every": ("checkpoint_every", int),
-              "checkpoint": ("checkpoint_path", str), "log": ("log_path", str)},
-    "data": {"n_samples": ("n_samples", int), "seed": ("data_seed", int)},
+    "model": {"preset": "preset"},
+    "optimizer": {"lr": "lr", "beta1": "beta1", "beta2": "beta2", "eps": "eps",
+                  "weight_decay": "weight_decay"},
+    "train": {"batch_size": "batch_size", "steps": "steps", "seed": "seed",
+              "checkpoint_every": "checkpoint_every", "checkpoint": "checkpoint_path",
+              "log": "log_path"},
+    "data": {"n_samples": "n_samples", "seed": "data_seed"},
 }
 
 
@@ -131,7 +132,8 @@ def load_train_config(path: str) -> TrainConfig:
             if key not in _SCHEMA[section]:
                 raise ValidationError(f"unknown key {key!r} in section [{section}]; expected "
                                       f"one of {sorted(_SCHEMA[section])}")
-            field_name, caster = _SCHEMA[section][key]
+            field_name = _SCHEMA[section][key]
+            caster = type(getattr(TrainConfig, field_name))   # its default's type
             try:
                 values[field_name] = caster(raw) if caster is not str else raw.strip()
             except ValueError as exc:

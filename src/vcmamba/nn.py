@@ -14,7 +14,7 @@ Only BatchNorm2d reads the train/eval mode that Module.train sets on a tree.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -210,19 +210,16 @@ class BatchNorm2d(Module):
         self.register_buffer("running_mean", np.zeros(channels, ad.DEFAULT_DTYPE))
         self.register_buffer("running_var", np.ones(channels, ad.DEFAULT_DTYPE))
 
-    def forward(self, x: Tensor, rebuild: Callable[[], np.ndarray] | None = None) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         return ad.batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var,
-                             training=self.training, momentum=self.momentum, eps=self.eps,
-                             rebuild=rebuild)
+                             training=self.training, momentum=self.momentum, eps=self.eps)
 
     def after(self, op, x: Tensor, weight: Tensor) -> Tensor:
-        """This BN of op(x, weight), a bias-free conv or linear. In eval mode it is
-        folded into the conv per call (fold_batch_norm) and costs no pass over the map.
-        In training mode after ad.linear, its vjp keeps no copy of the linear's
-        output: it rebuilds it with the linear's gemm (ad.linear_rebuild) from the
-        x and weight the linear's vjp holds."""
+        """This BN of op(x, weight), a bias-free conv or linear: its own pass in
+        training mode, and in eval mode folded into the conv per call
+        (fold_batch_norm), so it costs no pass over the map."""
         if self.training:
-            return self(op(x, weight), ad.linear_rebuild(x, weight) if op is ad.linear else None)
+            return self(op(x, weight))
         return op(x, *ad.fold_batch_norm(weight, self.gamma, self.beta, self.running_mean,
                                          self.running_var, eps=self.eps))
 

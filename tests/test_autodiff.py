@@ -406,6 +406,51 @@ class TestLinear:
             ad.linear(t64(np.zeros((2, 5))), t64(np.zeros(shape)))
 
 
+class TestNodeRebuild:
+    """A recorded bias-free linear's node rebuilds its output from the
+    operands its vjp holds; no other op offers a rebuild."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, F64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("wshape", [(6, 5), (6, 5, 1, 1)], ids=["matrix", "pointwise"])
+    @pytest.mark.parametrize("xshape", [(7, 5), (2, 3, 4, 5)], ids=["2d", "4d"])
+    def test_bias_free_linear_rebuilds_its_exact_bytes(self, rng, dtype, wshape, xshape):
+        x = Tensor(rng.normal(size=xshape), requires_grad=True, dtype=dtype)
+        w = Tensor(rng.normal(size=wshape), requires_grad=True, dtype=dtype)
+        with Tape():
+            y = ad.linear(x, w)
+        want, node = y.data.copy(), y._node
+        del y     # the rebuild holds the output's shape, not the output
+        assert node.out() is None
+        got = node.rebuild()
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_no_other_recorded_op_offers_a_rebuild(self, rng):
+        x2, w2, b = t64(rng.normal(size=(7, 5))), t64(rng.normal(size=(6, 5))), t64(np.zeros(6))
+        x4 = t64(rng.normal(size=(1, 6, 6, 3)))
+        with Tape():
+            outs = [ad.linear(x2, w2, b), ad.conv2d(x4, t64(rng.normal(size=(2, 3, 3, 3)))),
+                    ad.depthwise_conv2d(x4, t64(rng.normal(size=(3, 1, 3, 3))))]
+        assert all(y._node is not None and y._node.rebuild is None for y in outs)
+
+    def test_an_unrecorded_linear_has_no_node(self, rng):
+        x, w = rng.normal(size=(7, 5)), rng.normal(size=(6, 5))
+        untaped = ad.linear(t64(x), t64(w))
+        with Tape():
+            no_grad = ad.linear(t64(x, requires_grad=False), t64(w, requires_grad=False))
+        assert untaped._node is None and no_grad._node is None
+
+    def test_backward_clears_the_rebuild(self, rng):
+        x, w = t64(rng.normal(size=(7, 5))), t64(rng.normal(size=(6, 5)))
+        with Tape():
+            y = ad.linear(x, w)
+            loss = ad.sum_all(y)
+        node = y._node
+        assert node.rebuild is not None
+        backward(loss)
+        assert node.rebuild is None and w.grad is not None
+
+
 class TestConv2d:
     def test_matches_loop_oracle(self, rng):
         x = rng.normal(size=(2, 3, 7, 6))

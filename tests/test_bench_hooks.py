@@ -131,8 +131,8 @@ def test_tracer_times_the_conv_mlp_vjps_and_restores_them():
 
 
 def test_traced_conv_mlp_keeps_no_linear_output():
-    # the tracer wraps autodiff.linear; BatchNorm2d.after must still know it
-    # and rebuild the expand output in norm1's vjp instead of keeping it
+    # the tracer wraps autodiff.linear; the wrapped linear's node must still
+    # offer its rebuild, so norm1's vjp keeps no copy of the expand output
     mlp = ConvMlp(4).draw(np.random.default_rng(0))
     x = Tensor(np.random.default_rng(1).normal(size=(2, 5, 5, 4)), requires_grad=True)
     tracer = load_tracing().Tracer()

@@ -22,3 +22,11 @@ def test_s224_training_forward_keeps_no_rebuildable_map():
     assert forward <= 210 * tool.MIB, forward / tool.MIB
     assert forward < backward <= forward + 20 * tool.MIB, (forward / tool.MIB,
                                                            backward / tool.MIB)
+
+
+def test_nano_training_forward_keeps_no_linear_output():
+    # one nano@32 batch-32 training forward holds about 14.8 MiB; with the
+    # BNs after its 1x1 convs keeping the convs' outputs it held 17.0 MiB
+    tool = load_tool()
+    forward, _ = tool.tape_bytes(*tool.CONFIGS["nano@32"])
+    assert forward <= 16 * tool.MIB, forward / tool.MIB

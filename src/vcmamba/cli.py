@@ -6,7 +6,7 @@ Subcommands:
     train --config FILE                 train on the toy task
     eval --checkpoint FILE              loss/accuracy of a checkpoint on the toy set
     scan-dump --height H --width W --path ID    traversal as CSV on stdout
-    check [--trials N]                  run the invariant suite, print a pass/fail matrix
+    check                               self-test of this machine's build, pass/fail as CSV
 
 Exit codes: 0 success, 1 validation failure (bad arguments, bad config or
 checkpoint, failed checks), 2 runtime error (crashes, diverged training).
@@ -15,6 +15,7 @@ checkpoint, failed checks), 2 runtime error (crashes, diverged training).
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 
 from .checkpoint import CheckpointError, load_checkpoint
@@ -85,16 +86,13 @@ def _cmd_scan_dump(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.trials is not None and args.trials < 1:
-        raise UsageError(f"vcmamba check: error: --trials must be at least 1, got {args.trials}")
-    results = run_all(trials=args.trials)
-    print("check,status,detail")
-    failed = 0
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        failed += 0 if r.passed else 1
-        print(f"{r.name},{status},{r.detail}")
-    print(f"summary,{'PASS' if failed == 0 else 'FAIL'},{len(results) - failed}/{len(results)} checks passed")
+    results = run_all()
+    failed = sum(not r.passed for r in results)
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(["check", "status", "detail"])
+    writer.writerows([r.name, "PASS" if r.passed else "FAIL", r.detail] for r in results)
+    writer.writerow(["summary", "PASS" if failed == 0 else "FAIL",
+                     f"{len(results) - failed}/{len(results)} checks passed"])
     return 0 if failed == 0 else 1
 
 
@@ -128,9 +126,7 @@ def build_parser() -> _Parser:
     p.add_argument("--path", choices=[pid.value for pid in PathId], required=True)
     p.set_defaults(fn=_cmd_scan_dump)
 
-    p = sub.add_parser("check", help="run the invariant suite")
-    p.add_argument("--trials", type=int, default=None,
-                   help="reduce the stochastic suites to N trials")
+    p = sub.add_parser("check", help="self-test of this machine's numpy/BLAS build")
     p.set_defaults(fn=_cmd_check)
 
     return parser

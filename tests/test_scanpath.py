@@ -110,8 +110,7 @@ class TestPathProperties:
             assert col_br.order[0] % w == w - 1
 
     def test_paths_distinct_on_proper_grids(self):
-        grids = [(h, w) for h in range(2, 9) for w in range(2, 9)]
-        for h, w in grids + [g for g in LARGE_GRIDS if min(g) > 1]:
+        for h, w in [g for g in self._grids() if min(g) > 1]:
             orders = [tuple(build_path(h, w, pid).order) for pid in ALL_IDS]
             assert len(set(orders)) == 4, (h, w)
 

@@ -14,7 +14,6 @@ import pytest
 
 import vcmamba.autodiff as ad
 from vcmamba.autodiff import ShapeMismatch, Tape, Tensor, backward
-from vcmamba.checks import random_scan_instance
 from vcmamba.nn import LayerNorm
 from vcmamba.scanpath import Direction, build_path, path_table
 from vcmamba.ssm import (CHUNK, N_DIRECTIONS, NonFiniteStateError, ScanInputs, SsmParams,
@@ -62,7 +61,8 @@ def make_inputs(rng, b=2, d=3, n=4, length=6, dtype=F64, with_dirs=False):
 
 
 def dense_scan_oracle(inputs, params):
-    """O(L^2) evaluation of the recurrence with explicit python loops."""
+    """O(L^2) evaluation of the recurrence with explicit python loops. The
+    direction codes are (L,), shared by every row, or (B, L), one row each."""
     xd, dd = inputs.x.data, inputs.delta.data
     bd, cd = inputs.b_seq.data, inputs.c_seq.data
     bsz, d, length = xd.shape
@@ -71,8 +71,10 @@ def dense_scan_oracle(inputs, params):
     table = params.direction_table.data
     beff = bd.copy()
     if inputs.dirs is not None:
-        for i in range(length):
-            beff[:, :, i] += table[int(inputs.dirs[i])][None, :]
+        dirs = np.broadcast_to(inputs.dirs, (bsz, length))
+        for bi in range(bsz):
+            for i in range(length):
+                beff[bi, :, i] += table[int(dirs[bi, i])]
     y = np.zeros_like(xd)
     for bi in range(bsz):
         for di in range(d):
@@ -276,10 +278,15 @@ class TestScanValues:
         p = make_params(2, 3)
         p.direction_table.data[:] = rng.normal(size=(N_DIRECTIONS, 3)) * 0.3
         inp = make_inputs(rng, b=2, d=2, n=3, length=11, with_dirs=True)
-        expected = dense_scan_oracle(inp, p)
-        for parallel in (False, True):
-            got = direction_aware_scan(inp, p, parallel=parallel)
-            np.testing.assert_allclose(got.data, expected, atol=1e-10)
+        shared = inp.dirs
+        # the four-path call gives every batch row its own codes, (B, L)
+        per_row = np.stack([shared, np.concatenate([[0], rng.permutation(shared[1:])])])
+        for dirs in (shared, per_row):
+            inp.dirs = dirs
+            expected = dense_scan_oracle(inp, p)
+            for parallel in (False, True):
+                got = direction_aware_scan(inp, p, parallel=parallel)
+                np.testing.assert_allclose(got.data, expected, atol=1e-10)
 
     def test_pure_feedthrough_when_b_is_zero(self, rng):
         p = make_params(3, 4)
@@ -308,8 +315,10 @@ class TestScanValues:
         inp = make_inputs(rng, length=8, with_dirs=True)
         plain = selective_scan_sequential(
             ScanInputs(x=inp.x, delta=inp.delta, b_seq=inp.b_seq, c_seq=inp.c_seq), p)
-        directed = direction_aware_scan(inp, p)
-        np.testing.assert_array_equal(directed.data, plain.data)
+        per_row = np.stack([inp.dirs, np.concatenate([[0], rng.permutation(inp.dirs[1:])])])
+        for dirs in (inp.dirs, per_row):
+            inp.dirs = dirs
+            np.testing.assert_array_equal(direction_aware_scan(inp, p).data, plain.data)
 
     def test_chunk_states_match_recurrence(self, rng):
         p = make_params(2, 3)
@@ -519,7 +528,8 @@ class TestScanGradients:
         # a stage-4 scan of S@224 at batch 2, four paths folded into the batch:
         # after the forward, the output, the vjp's (L, B, D) x and delta and the
         # six chunk entry states (about two maps); the vjp keeps y's shape, not y
-        inputs, params = random_scan_instance(rng, 49, 576, 16, 8, np.float32, with_dirs=True)
+        inputs = make_inputs(rng, b=8, d=576, n=16, length=49, dtype=np.float32, with_dirs=True)
+        params = make_params(576, 16, dtype=np.float32)
         map_bytes = 49 * 8 * 576 * 4
         tracemalloc.start()
         try:

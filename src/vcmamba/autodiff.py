@@ -32,6 +32,13 @@ weight w * s and the bias t, so it costs no pass of its own over the map.
 The fold is taken per call from the current statistics and records the
 folded weight and bias like any op output.
 
+Both norms take their statistics with one routine, _moments: batch norm over
+the B, H and W axes of its NCHW view, layer norm over its last axis. Where
+the float32 statistics are not finite, _moments takes them again in float64,
+and the norm rounds 1 / sqrt(var + NORM_EPS) back to the input's dtype, so
+output and gradients keep it. NORM_EPS and BN_MOMENTUM are module constants;
+no op takes either as an argument.
+
 The tape holds only what a vjp reads. A node keeps its gradient accumulator,
 its output's shape and a weak reference to the output, never the output's
 data, and links each input recorded on the same tape by its producer node;
@@ -63,6 +70,8 @@ DEFAULT_DTYPE = np.float32
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT_2PI = 0.3989422804014327
 _ROWS = 4   # output rows per depthwise_conv2d tap-sum tile
+NORM_EPS = 1e-5      # both norms: istd = 1 / sqrt(var + NORM_EPS)
+BN_MOMENTUM = 0.1    # batch norm: running = (1 - BN_MOMENTUM) * running + BN_MOMENTUM * batch
 
 
 class AutodiffError(RuntimeError):
@@ -549,39 +558,48 @@ def _channel_sum(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1]).sum(axis=0, dtype=np.float64).astype(a.dtype)
 
 
-def _batch_stats(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel mean and biased variance of a channels-last map, summed in
-    the NCHW order (the committed reference run pins these bits). The variance
-    takes numpy's own var steps over an NCHW copy, from the mean already taken."""
-    xc = np.moveaxis(a, -1, 1).copy()
-    mean = xc.mean(axis=(0, 2, 3), keepdims=True)
-    xc -= mean
-    np.square(xc, out=xc)
-    return mean.reshape(a.shape[-1]), xc.mean(axis=(0, 2, 3))
+def _moments(a: np.ndarray, axes) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and biased variance of a over axes (kept as length-1 axes): numpy's
+    own var steps on a C-order scratch copy, from the mean already taken, so
+    the copy's layout fixes the summation order. Where a's dtype gives a
+    non-finite mean or variance (a deviation past about 1.8e19 squares past
+    float32's range), the same steps run again in float64 from the float64
+    mean rounded to a's dtype: the mean keeps a's dtype, the variance does not."""
+    for dtype in (a.dtype, np.float64):
+        xc = np.array(a, dtype=dtype, order="C")
+        with np.errstate(over="ignore", invalid="ignore"):    # the finiteness check decides
+            mean = xc.mean(axis=axes, keepdims=True).astype(a.dtype, copy=False)
+            xc -= mean
+            np.square(xc, out=xc)
+            var = xc.mean(axis=axes, keepdims=True)
+        if np.isfinite(mean).all() and np.isfinite(var).all():
+            break
+    return mean, var
 
 
 def _eval_affine(gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
-                 running_var: np.ndarray, eps: float):
+                 running_var: np.ndarray):
     """Eval-mode batch norm as the per-channel map x * s + t: returns a copy of
     running_mean (a vjp must see these statistics, not later updates), istd =
-    1 / sqrt(var + eps), s = gamma * istd and t = beta - mean * s, the last
+    1 / sqrt(var + NORM_EPS), s = gamma * istd and t = beta - mean * s, the last
     three taken in float64 and rounded once to gamma's dtype."""
     mean = running_mean.copy()
-    istd = 1.0 / np.sqrt(running_var.astype(np.float64) + eps)
+    istd = 1.0 / np.sqrt(running_var.astype(np.float64) + NORM_EPS)
     s = gamma.data * istd
     return (mean,) + tuple(a.astype(gamma.dtype) for a in (istd, s, beta.data - mean * s))
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
-               running_var: np.ndarray, *, training: bool, momentum: float = 0.1,
-               eps: float = 1e-5) -> Tensor:
+               running_var: np.ndarray, *, training: bool) -> Tensor:
     """Per-channel batch norm of a channels-last (B, H, W, C) map over its B*H*W rows.
 
     running_mean / running_var are plain arrays updated in place in training
-    mode (unbiased variance for the running estimate, biased for the
-    normalization itself). The batch statistics are taken in the NCHW order
-    (_batch_stats) and the output is written over xhat. Eval mode normalizes
-    with the running statistics in one affine pass, x * s + t (_eval_affine).
+    mode at weight BN_MOMENTUM (unbiased variance for the running estimate,
+    biased for the normalization itself). The batch statistics are the
+    _moments of the NCHW view, summed in the NCHW order (the committed
+    reference run pins these bits), and the output is written over xhat. Eval
+    mode normalizes with the running statistics in one affine pass, x * s + t
+    (_eval_affine).
     The gamma and beta gradients are float64 sums of the rows (_channel_sum);
     the vjp rebuilds xhat from x.data, read at backward time, and the mean and
     istd the forward normalized with, by the training forward's operations.
@@ -597,17 +615,18 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
 
     n = x.size // c
     if training:
-        mean, var = _batch_stats(x.data)
-        unbiased = var * (n / (n - 1)) if n > 1 else var
-        running_mean[...] = (1.0 - momentum) * running_mean + momentum * mean
-        running_var[...] = (1.0 - momentum) * running_var + momentum * unbiased
-        istd = 1.0 / np.sqrt(var + eps)
+        mean, var = (m.reshape(c) for m in _moments(np.moveaxis(x.data, -1, 1), (0, 2, 3)))
+        with np.errstate(over="ignore"):    # a variance past float32's range: BatchNorm2d raises
+            unbiased = var * (n / (n - 1)) if n > 1 else var
+            running_mean[...] = (1.0 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mean
+            running_var[...] = (1.0 - BN_MOMENTUM) * running_var + BN_MOMENTUM * unbiased
+        istd = (1.0 / np.sqrt(var + NORM_EPS)).astype(x.dtype, copy=False)
         xhat = x.data - mean
         xhat *= istd
         y = np.multiply(gamma.data, xhat, out=xhat)
         y += beta.data
     else:
-        mean, istd, s, t = _eval_affine(gamma, beta, running_mean, running_var, eps)
+        mean, istd, s, t = _eval_affine(gamma, beta, running_mean, running_var)
         y = x.data * s
         y += t
     out = Tensor(y, dtype=x.dtype)
@@ -633,7 +652,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
 
 
 def fold_batch_norm(w: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
-                    running_var: np.ndarray, *, eps: float = 1e-5) -> tuple[Tensor, Tensor]:
+                    running_var: np.ndarray) -> tuple[Tensor, Tensor]:
     """An eval-mode batch_norm folded into the bias-free conv or linear before
     it (RepVGG's re-parameterisation): batch_norm(conv(x, w)) is
     conv(x, w * s) + t, with s and t per output channel (_eval_affine) and w's
@@ -645,7 +664,7 @@ def fold_batch_norm(w: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.nda
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeMismatch("fold_batch_norm", f"gamma/beta must have shape ({c},), got "
                                                f"{gamma.shape} and {beta.shape}")
-    mean, istd, s, t = _eval_affine(gamma, beta, running_mean, running_var, eps)
+    mean, istd, s, t = _eval_affine(gamma, beta, running_mean, running_var)
     rows = s.reshape((c,) + (1,) * (w.ndim - 1))
     weight = Tensor(w.data * rows, dtype=w.dtype)
     bias = Tensor(t, dtype=beta.dtype)
@@ -655,15 +674,14 @@ def fold_batch_norm(w: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.nda
     return weight, bias
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, *, eps: float = 1e-5) -> Tensor:
-    """Layer norm over the last axis."""
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Layer norm over the last axis, with the statistics _moments(x, -1)."""
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeMismatch("layer_norm", f"gamma/beta must have shape ({d},), got "
                                           f"{gamma.shape} and {beta.shape}")
-    mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    istd = 1.0 / np.sqrt(var + eps)
+    mean, var = _moments(x.data, -1)
+    istd = (1.0 / np.sqrt(var + NORM_EPS)).astype(x.dtype, copy=False)
     xhat = (x.data - mean) * istd
     out = Tensor(gamma.data * xhat + beta.data, dtype=x.dtype)
 

@@ -10,6 +10,9 @@ order (own before children's). Module.to casts a whole tree to another dtype.
 Each module knows its dotted name in the tree (Module.qualname), and a
 ModuleError raised in a forward pass names the innermost module it leaves.
 Only BatchNorm2d reads the train/eval mode that Module.train sets on a tree.
+Both norms read their variance floor and batch norm its running-statistic
+momentum from autodiff (NORM_EPS, BN_MOMENTUM). A training BatchNorm2d whose
+running mean or variance goes non-finite raises NonFiniteStatisticError.
 """
 
 from __future__ import annotations
@@ -39,6 +42,15 @@ class ModuleError(RuntimeError):
     leaves sets module to that module's qualname."""
 
     module: str | None = None
+
+
+class NonFiniteStatisticError(ModuleError):
+    """A training batch norm's running statistic, named by the one argument,
+    went non-finite: a batch variance past float32's range, or a non-finite
+    input."""
+
+    def __str__(self) -> str:
+        return f"batch norm {self.module} holds a non-finite {self.args[0]}"
 
 
 class Module:
@@ -198,10 +210,9 @@ class Linear(Module):
 
 class BatchNorm2d(Module):
     """Batch norm of a channels-last (B, H, W, C) map, per channel: batch
-    statistics in training mode, the running statistics in eval mode."""
-
-    eps = 1e-5
-    momentum = 0.1
+    statistics in training mode, the running statistics in eval mode. A
+    training forward that leaves a running statistic non-finite raises
+    NonFiniteStatisticError."""
 
     def __init__(self, channels: int):
         super().__init__()
@@ -211,8 +222,13 @@ class BatchNorm2d(Module):
         self.register_buffer("running_var", np.ones(channels, ad.DEFAULT_DTYPE))
 
     def forward(self, x: Tensor) -> Tensor:
-        return ad.batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var,
-                             training=self.training, momentum=self.momentum, eps=self.eps)
+        y = ad.batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var,
+                          training=self.training)
+        if self.training:
+            for name in ("running_mean", "running_var"):
+                if not np.isfinite(self._buffers[name]).all():
+                    raise NonFiniteStatisticError(name)
+        return y
 
     def after(self, op, x: Tensor, weight: Tensor) -> Tensor:
         """This BN of op(x, weight), a bias-free conv or linear: its own pass in
@@ -221,13 +237,11 @@ class BatchNorm2d(Module):
         if self.training:
             return self(op(x, weight))
         return op(x, *ad.fold_batch_norm(weight, self.gamma, self.beta, self.running_mean,
-                                         self.running_var, eps=self.eps))
+                                         self.running_var))
 
 
 class LayerNorm(Module):
     """Normalizes the last axis."""
-
-    eps = 1e-5
 
     def __init__(self, dim: int):
         super().__init__()
@@ -235,4 +249,4 @@ class LayerNorm(Module):
         self.beta = Tensor(np.zeros(dim), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        return ad.layer_norm(x, self.gamma, self.beta, eps=self.eps)
+        return ad.layer_norm(x, self.gamma, self.beta)

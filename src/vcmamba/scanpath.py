@@ -167,7 +167,7 @@ def fold_site(paths: Sequence[ScanPath], batch: int, row: int,
 
 def dump_csv(path: ScanPath, out: IO[str]) -> None:
     """Write the traversal as CSV: step, flat_index, row, col, direction."""
-    writer = csv.writer(out)
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["step", "flat_index", "row", "col", "direction"])
     for k, (flat, code) in enumerate(zip(path.order, path.dirs)):
         writer.writerow([k, int(flat), int(flat) // path.width, int(flat) % path.width,

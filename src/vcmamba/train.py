@@ -13,7 +13,8 @@ diverged run ends instead with a phase=diverged row, nan where not measured.
 The checkpoint file always holds the most recent finite state: it is
 written at initialization, every checkpoint_every steps and at the end
 (unless the last step just wrote it). A non-finite scan delta or state
-(NonFiniteStateError), loss or gradient norm makes the step raise
+(NonFiniteStateError) or batch-norm running statistic
+(NonFiniteStatisticError), loss or gradient norm makes the step raise
 TrainingDiverged before the update: the parameters, AdamW and the checkpoint
 on disk are untouched (the failed forward's batch-norm running statistics
 have moved, but train() never saves them). The scan backward checks nothing:
@@ -38,8 +39,8 @@ from .checkpoint import save_checkpoint
 from .config import TrainConfig, ValidationError
 from .data import ToyDataset
 from .model import VCMamba, get_preset
+from .nn import ModuleError
 from .optim import AdamW
-from .ssm import NonFiniteStateError
 
 
 class TrainingDiverged(RuntimeError):
@@ -71,13 +72,14 @@ def train_step(model: VCMamba, opt: AdamW, images: np.ndarray,
                labels: np.ndarray) -> tuple[float, float, np.ndarray]:
     """Step opt.step_count + 1 on one batch, in the model's dtype; returns
     (loss, grad_norm, logits array). Raises TrainingDiverged before the
-    update on a non-finite scan state, loss or gradient norm."""
+    update on a non-finite model state (a ModuleError: scan state or batch-norm
+    running statistic), loss or gradient norm."""
     step = opt.step_count + 1
     try:
         with Tape():
             logits = model(Tensor(images, dtype=model.dtype))
             loss = ad.softmax_cross_entropy(logits, labels)
-    except NonFiniteStateError as exc:
+    except ModuleError as exc:
         raise TrainingDiverged(f"model state ({exc})", step) from exc
     loss_val = loss.item()
     if not math.isfinite(loss_val):

@@ -543,7 +543,7 @@ class TestBatchNorm:
         x = rng.normal(loc=1.0, size=(2, 3, 4, 4))
         rm, rv = self._stats(3)
         ad.batch_norm(t64(nhwc(x)), t64(np.ones(3)), t64(np.zeros(3)), rm, rv,
-                      training=True, momentum=0.1)
+                      training=True)
         n = 2 * 4 * 4
         mean = x.mean(axis=(0, 2, 3))
         unbiased = x.var(axis=(0, 2, 3)) * n / (n - 1)
@@ -603,6 +603,82 @@ class TestLayerNorm:
         y = ad.layer_norm(x, t64(np.ones(8)), t64(np.zeros(8)))
         np.testing.assert_allclose(y.data.mean(axis=-1), 0.0, atol=1e-10)
         np.testing.assert_allclose(y.data.var(axis=-1), 1.0, atol=1e-4)
+
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    @pytest.mark.parametrize("shape", [(2, 7, 7, 576), (32, 1, 1, 256), (3, 5, 6)])
+    def test_output_bytes_equal_the_mean_var_formula(self, rng, dtype, shape):
+        # bit for bit, not within a tolerance: the float32 reference run pins them
+        x = rng.normal(loc=1.0, scale=2.0, size=shape).astype(dtype)
+        gamma = rng.uniform(0.5, 1.5, shape[-1]).astype(dtype)
+        beta = rng.normal(size=shape[-1]).astype(dtype)
+        y = ad.layer_norm(*(Tensor(a, dtype=dtype) for a in (x, gamma, beta)))
+        mean = x.mean(axis=-1, keepdims=True)
+        var = x.var(axis=-1, keepdims=True)
+        expected = gamma * ((x - mean) * (1.0 / np.sqrt(var + 1e-5))) + beta
+        assert y.dtype == dtype
+        assert y.data.tobytes() == expected.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+class TestNormsAtScale:
+    """Batch norm in both modes and layer norm on float32 maps scaled so far
+    that their squared deviations pass float32's range (from about 1e19),
+    against a float64 oracle: the output within float32 rounding of it,
+    output and gradients finite and in float32, and no numpy warning."""
+
+    SCALES = [1.0, 1e18, 1e19, 1e30]
+    SHAPE = (2, 3, 3, 8)
+
+    def _inputs(self, rng, scale):
+        x = (rng.normal(loc=0.5, size=self.SHAPE) * scale).astype(np.float32)
+        c = self.SHAPE[-1]
+        gamma = rng.uniform(0.5, 1.5, c).astype(np.float32)
+        beta = rng.normal(size=c).astype(np.float32)
+        return x, gamma, beta
+
+    def _check(self, norm, x, gamma, beta, expected):
+        xt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, gamma, beta))
+        with Tape():
+            y = norm(xt, gt, bt)
+            r = Tensor(np.linspace(-1.0, 1.0, y.size).reshape(y.shape))
+            backward(ad.sum_all(ad.mul(y, r)))
+        assert y.dtype == np.float32
+        # a few float32 roundings of the largest output (1e-7 relative measured)
+        bound = 8 * np.finfo(np.float32).eps * np.abs(expected).max()
+        assert np.abs(y.data - expected).max() <= bound
+        for t in (xt, gt, bt):
+            assert t.grad.dtype == np.float32
+            assert np.isfinite(t.grad).all()
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_batch_norm_training(self, rng, scale):
+        x, gamma, beta = self._inputs(rng, scale)
+        x64 = x.astype(F64)
+        mean, var = x64.mean(axis=(0, 1, 2)), x64.var(axis=(0, 1, 2))
+        rm, rv = np.zeros(8, np.float32), np.ones(8, np.float32)
+        self._check(lambda *a: ad.batch_norm(*a, rm, rv, training=True), x, gamma, beta,
+                    gamma * (x64 - mean) / np.sqrt(var + 1e-5) + beta)
+        if scale < 1e19:    # past it the unbiased variance overflows float32's running_var
+            np.testing.assert_allclose(rv, 0.9 + 0.1 * var * 18 / 17, rtol=1e-6)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_batch_norm_eval(self, rng, scale):
+        x, gamma, beta = self._inputs(rng, scale)
+        x64 = x.astype(F64)
+        # this map's statistics, the variance capped at what a float32
+        # running_var holds (at 1e30 a training forward raises instead)
+        rm = x64.mean(axis=(0, 1, 2)).astype(np.float32)
+        rv = np.minimum(x64.var(axis=(0, 1, 2)), np.finfo(np.float32).max).astype(np.float32)
+        self._check(lambda *a: ad.batch_norm(*a, rm, rv, training=False), x, gamma, beta,
+                    gamma * (x64 - rm) / np.sqrt(rv.astype(F64) + 1e-5) + beta)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_layer_norm(self, rng, scale):
+        x, gamma, beta = self._inputs(rng, scale)
+        x64 = x.astype(F64)
+        mean, var = x64.mean(axis=-1, keepdims=True), x64.var(axis=-1, keepdims=True)
+        self._check(ad.layer_norm, x, gamma, beta,
+                    gamma * (x64 - mean) / np.sqrt(var + 1e-5) + beta)
 
 
 # ---------------------------------------------------------------------------

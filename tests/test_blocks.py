@@ -177,11 +177,11 @@ class TestMdmBlock:
 
         def bn(t, norm):
             return ad.batch_norm(t, norm.gamma, norm.beta, norm.running_mean,
-                                 norm.running_var, training=False, eps=norm.eps)
+                                 norm.running_var, training=False)
 
         def folded(weight, norm):   # the eval BN after a conv, folded into its weight
             return ad.fold_batch_norm(weight, norm.gamma, norm.beta, norm.running_mean,
-                                      norm.running_var, eps=norm.eps)
+                                      norm.running_var)
 
         mb = block.mamba
         z = ad.linear(bn(x, block.norm1), mb.in_proj.weight, mb.in_proj.bias)
@@ -197,8 +197,7 @@ class TestMdmBlock:
             y = direction_aware_scan(inp, mb.ssm)
             spread = ad.reshape(ad.take_last(y, path.inverse()), (2, mb.d_inner, 3, 3))
             mixed = spread if mixed is None else ad.add(mixed, spread)
-        normed = ad.layer_norm(ad.moveaxis(mixed, 1, 3), mb.mix_norm.gamma, mb.mix_norm.beta,
-                               eps=mb.mix_norm.eps)
+        normed = ad.layer_norm(ad.moveaxis(mixed, 1, 3), mb.mix_norm.gamma, mb.mix_norm.beta)
         branch = ad.linear(normed, *folded(mb.out_proj.weight, mb.out_norm))
         x1 = ad.add(x, branch)
 

@@ -60,6 +60,14 @@ class TestScanDump:
                             ["2", "3", "1", "1", "down"],
                             ["3", "2", "1", "0", "left"]]
 
+    def test_line_ends_are_lf(self, capsys):
+        # as every other command prints
+        assert main(["scan-dump", "--height", "1", "--width", "2",
+                     "--path", "row_snake_tl"]) == 0
+        out = capsys.readouterr().out
+        assert "\r" not in out
+        assert out.endswith("1,1,0,1,right\n")
+
     def test_unknown_path_id(self, capsys):
         assert main(["scan-dump", "--height", "2", "--width", "2",
                      "--path", "spiral"]) == 1

@@ -149,6 +149,11 @@ def plant_nan_dt_bias(monkeypatch, model):
     return lambda: ("model state", math.nan, math.nan)
 
 
+def plant_huge_stem_weight(monkeypatch, model):
+    model.stem.conv1.weight.data *= 1e25    # stem.norm1's batch variance passes float32's range
+    return lambda: ("model state", math.nan, math.nan)
+
+
 def plant_nan_loss(monkeypatch, model):
     monkeypatch.setattr(ad, "softmax_cross_entropy", lambda logits, labels: Tensor(np.nan))
     return lambda: ("loss", math.nan, math.nan)
@@ -180,7 +185,8 @@ class TestTrainStep:
         return model, opt, data
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in logaddexp:RuntimeWarning")
-    @pytest.mark.parametrize("plant", [plant_nan_dt_bias, plant_nan_loss, plant_nan_gradient])
+    @pytest.mark.parametrize("plant", [plant_nan_dt_bias, plant_huge_stem_weight,
+                                       plant_nan_loss, plant_nan_gradient])
     def test_fault_raises_before_the_update(self, monkeypatch, plant):
         model, opt, data = self.stepped_model()
         expected = plant(monkeypatch, model)
@@ -384,6 +390,35 @@ class TestTrainLoop:
                                   "(token index 0, batch row 0)) at step 2; last-good checkpoint "
                                   f"retained at {cfg.checkpoint_path}")
 
+    def test_nonfinite_batch_norm_statistic_is_divergence(self, tmp_path, monkeypatch):
+        # a stem conv weight scaled by 1e25 puts stem.norm1's batch variance
+        # (about 1e48) past what its float32 running_var holds: the first
+        # forward raises, naming the module, and the checkpoint saved before
+        # it still loads, holding the weights it was saved with
+        def build(*args, **kwargs):
+            model = VCMamba(*args, **kwargs)
+            model.stem.conv1.weight.data *= 1e25
+            return model
+
+        monkeypatch.setattr(train_module, "VCMamba", build)
+        cfg = small_cfg(tmp_path)
+        with pytest.raises(TrainingDiverged) as err:
+            train(cfg)
+        assert err.value.__cause__.module == "stem.norm1"
+        assert str(err.value) == ("non-finite model state (batch norm stem.norm1 holds a "
+                                  "non-finite running_var) at step 1; last-good checkpoint "
+                                  f"retained at {cfg.checkpoint_path}")
+        rows = read_log(cfg.log_path)
+        assert [list(r.values()) for r in rows] == [["1", "diverged", "nan", "nan", "nan"]]
+        saved = load_checkpoint(cfg.checkpoint_path)
+        init = build(get_preset("nano"), seed=cfg.seed)
+        for (n1, p1), (n2, p2) in zip(init.named_parameters(), saved.named_parameters()):
+            assert n1 == n2
+            np.testing.assert_array_equal(p1.data, p2.data)
+        for (n1, b1), (n2, b2) in zip(init.named_buffers(), saved.named_buffers()):
+            assert n1 == n2
+            np.testing.assert_array_equal(b1, b2)
+
     def test_invalid_config_rejected_before_work(self, tmp_path):
         with pytest.raises(ValueError):
             train(small_cfg(tmp_path, steps=0))
@@ -435,6 +470,21 @@ class TestReferenceRun:
                 got, exp = float(row[key]), float(want[key])
                 assert abs(got - exp) <= 2e-5 + 2e-3 * abs(exp), (row, want)
             assert abs(float(row["accuracy"]) - float(want["accuracy"])) <= 1 / 32 + 1e-6
+
+    def test_learning_rate_5_ends_finite_or_diverged(self, tmp_path):
+        # lr = 5 passes validation and drives the Mamba mix_norm's float32
+        # variance past float32's range from step 3; under the suite's
+        # error::RuntimeWarning filter the run must still end in a finite eval
+        # loss or in TrainingDiverged with a checkpoint that loads
+        cfg = dataclasses.replace(load_train_config(str(REFERENCE / "train_nano.cfg")),
+                                  lr=5.0, steps=30, checkpoint_path=str(tmp_path / "m.ckpt"),
+                                  log_path=str(tmp_path / "log.csv"))
+        try:
+            result = train(cfg)
+        except TrainingDiverged:
+            load_checkpoint(cfg.checkpoint_path)
+        else:
+            assert math.isfinite(result.final_loss)
 
     def test_training_does_not_depend_on_the_blas_thread_count(self, tmp_path):
         src = str(Path(train_module.__file__).resolve().parents[1])

@@ -70,7 +70,8 @@ def random_scan_instance(rng: np.random.Generator, length: int, d_inner: int, n_
 
 def check_parallel_equivalence() -> CheckResult:
     """Doubling scan against the literal recurrence, float32 within 1e-5 and
-    float64 within 1e-10, over 100 random instances with L up to 512."""
+    float64 within 1e-10, over 100 random instances with L up to 512, every
+    other one with direction codes, as the model scans."""
     rng = np.random.default_rng(11)
     lengths = [1, 2, 3, 257, 512]
     trials = 100
@@ -81,7 +82,8 @@ def check_parallel_equivalence() -> CheckResult:
         n = int(rng.integers(1, 17))
         b = int(rng.integers(1, 4))
         for dtype, tol in ((np.float32, 1e-5), (np.float64, 1e-10)):
-            inputs, params = random_scan_instance(rng, length, d, n, b, dtype)
+            inputs, params = random_scan_instance(rng, length, d, n, b, dtype,
+                                                  with_dirs=bool(t % 2))
             ys = selective_scan_sequential(inputs, params)
             yp = selective_scan_parallel(inputs, params)
             err = float(np.abs(ys.data - yp.data).max())

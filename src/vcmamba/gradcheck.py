@@ -48,12 +48,13 @@ def finite_diff_check(f: Callable[[], Tensor], wrt: Sequence[Tensor], *,
 
     f is a zero-argument callable that recomputes the loss from scratch on
     every call; wrt lists the float64 requires_grad tensors f reads, which
-    are perturbed in place and restored. f must be deterministic given wrt
-    (running-stat bookkeeping aside). When max_coords_per_tensor is set, a
-    subsample of coordinates drawn from rng, which must then be given, is
-    checked per tensor; otherwise every coordinate is swept. The report
-    labels each tensor by its name (arg<i> if unnamed), with #<i>, its position
-    in wrt, appended where several share the name.
+    are perturbed in place and restored, also when f raises. f must be
+    deterministic given wrt (running-stat bookkeeping aside). When
+    max_coords_per_tensor is set, a subsample of coordinates drawn from rng,
+    which must then be given, is checked per tensor; otherwise every
+    coordinate is swept. The report labels each tensor by its name (arg<i> if
+    unnamed), with #<i>, its position in wrt, appended where several share
+    the name.
     """
     wrt = list(wrt)
     if not wrt:
@@ -89,11 +90,13 @@ def finite_diff_check(f: Callable[[], Tensor], wrt: Sequence[Tensor], *,
         t_err = 0.0
         for c in coords:
             orig = flat[c]
-            flat[c] = orig + STEP
-            up = f().item()
-            flat[c] = orig - STEP
-            down = f().item()
-            flat[c] = orig
+            try:
+                flat[c] = orig + STEP
+                up = f().item()
+                flat[c] = orig - STEP
+                down = f().item()
+            finally:
+                flat[c] = orig
             numeric = (up - down) / (2.0 * STEP)
             a = analytic[i].reshape(-1)[c]
             err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))

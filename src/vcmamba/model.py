@@ -8,10 +8,10 @@ linear layer. Images and features() are (B, C, H, W); between the stem and the
 end of stage 4 every map is channels-last, (B, H, W, C).
 
 Presets:
-    S    channels (32, 64, 144, 288),  blocks (4F, 4F, 12F, 4F + 4M)
-    M    channels (48, 96, 224, 448),  blocks (4F, 4F, 12F, 2F + 4M)
-    B    channels (64, 128, 320, 512), blocks (4F, 4F, 12F, 2F + 4M)
-    nano channels (16, 32, 64, 128),   blocks (2F, 2F, 4F, 1F + 2M),
+    S    channels (32, 64, 144, 288),  blocks (4F, 4F, 12F, MFMFMFMF)
+    M    channels (48, 96, 224, 448),  blocks (4F, 4F, 12F, MFMFMM)
+    B    channels (64, 128, 320, 512), blocks (4F, 4F, 12F, MFMFMM)
+    nano channels (16, 32, 64, 128),   blocks (2F, 2F, 4F, MFM),
          10 classes at 32x32 input (the toy-training configuration)
 """
 
@@ -30,21 +30,6 @@ from .scanpath import PathId
 from .ssm import delta_rank
 
 REDUCTION = 32  # stem 4x then three stride-2 downsamplers
-
-
-def interleave_blocks(n_ffn: int, n_mdm: int) -> str:
-    """Stage-4 ordering: alternate starting with a Mamba block, append the
-    leftovers of whichever kind remains. 2F+4M -> MFMFMM, 4F+4M -> MFMFMFMF."""
-    out = []
-    f, m = n_ffn, n_mdm
-    while f > 0 and m > 0:
-        out.append("M")
-        out.append("F")
-        m -= 1
-        f -= 1
-    out.extend("M" * m)
-    out.extend("F" * f)
-    return "".join(out)
 
 
 @dataclass(frozen=True)
@@ -95,14 +80,10 @@ class ModelSpec:
 
 
 PRESETS: dict[str, ModelSpec] = {
-    "S": ModelSpec("S", (32, 64, 144, 288),
-                   ("F" * 4, "F" * 4, "F" * 12, interleave_blocks(4, 4)), 1000, 224),
-    "M": ModelSpec("M", (48, 96, 224, 448),
-                   ("F" * 4, "F" * 4, "F" * 12, interleave_blocks(2, 4)), 1000, 224),
-    "B": ModelSpec("B", (64, 128, 320, 512),
-                   ("F" * 4, "F" * 4, "F" * 12, interleave_blocks(2, 4)), 1000, 224),
-    "nano": ModelSpec("nano", (16, 32, 64, 128),
-                      ("F" * 2, "F" * 2, "F" * 4, interleave_blocks(1, 2)), 10, 32),
+    "S": ModelSpec("S", (32, 64, 144, 288), ("F" * 4, "F" * 4, "F" * 12, "MFMFMFMF"), 1000, 224),
+    "M": ModelSpec("M", (48, 96, 224, 448), ("F" * 4, "F" * 4, "F" * 12, "MFMFMM"), 1000, 224),
+    "B": ModelSpec("B", (64, 128, 320, 512), ("F" * 4, "F" * 4, "F" * 12, "MFMFMM"), 1000, 224),
+    "nano": ModelSpec("nano", (16, 32, 64, 128), ("F" * 2, "F" * 2, "F" * 4, "MFM"), 10, 32),
 }
 
 

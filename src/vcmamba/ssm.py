@@ -9,21 +9,22 @@ first-order Euler rule on B:
 A = -exp(a_log) is diagonal and negative, so for delta >= 0 abar lies in
 (0, 1] and h_i = abar_i h_{i-1} + bbar_i x_i is contractive; a zero delta
 holds the state. B, C and delta are selective: selective_projection makes them
-per token. The direction-aware form adds a learned per-direction term to B:
+per token. Operands that carry direction codes add a learned term to B:
 token i's effective input matrix is delta_i * (b_i + table[dirs[i]]).
 
 Operands are (B, D, L); the kernel works scan axis first, (L, B, N, D). The
 recurrence is written once, in _chunk_states, which runs CHUNK tokens' abar
 and states into two (CHUNK, B, N, D) buffers from the state entering them.
-The literal forward walks the chunks with it and reads each one out, so it
+The literal route walks the chunks with it and reads each one out, so it
 builds no (L, B, N, D) array. The scan is one tape op. While a tape records,
 the forward keeps each chunk's entry state, and nothing else; the adjoint
 walks the chunks in reverse, recomputes each with the same routine, then
 solves gh_i = gy_i c_i + abar_{i+1} gh_{i+1} one token at a time, writing
-that token's gradients as it goes. A log-depth doubling scan over the
-associative pair composition is the oracle the literal route is tested
-against; it takes the entry states from its state array and shares the
-adjoint. The model does not call it. A Mamba block makes one projection and
+that token's gradients as it goes. The other route, a log-depth doubling scan
+over the associative pair composition, is the oracle the literal route is
+tested against; it takes the entry states from its state array and shares the
+adjoint. The model calls neither by name: its entry, direction_aware_scan, is
+the literal route with codes required. A Mamba block makes one projection and
 one scan call on a channels-last (B, H, W, D) map: the map is projected once,
 the input and the projections are gathered into all four path orders with
 the paths folded into the batch axis, scanned, scattered back and summed.
@@ -124,7 +125,7 @@ class SsmParams(Module):
 class ScanInputs:
     """Per-token scan operands. x, delta: (B, D, L); b_seq, c_seq: (B, N, L);
     dirs: integer direction codes, (L,) shared by every row or (B, L) per
-    row, or None for direction-free scans."""
+    row. The scan is direction-aware exactly when dirs is set."""
 
     x: Tensor
     delta: Tensor
@@ -190,9 +191,8 @@ def _pair_scan_doubling(abar: np.ndarray, u: np.ndarray) -> np.ndarray:
     return h
 
 
-def _check_scan_operands(op: str, inputs: ScanInputs, params: SsmParams,
-                         dirs: np.ndarray | None) -> None:
-    x, delta, b_seq, c_seq = inputs.x, inputs.delta, inputs.b_seq, inputs.c_seq
+def _check_scan_operands(op: str, inputs: ScanInputs, params: SsmParams) -> None:
+    x, delta, b_seq, c_seq, dirs = inputs.x, inputs.delta, inputs.b_seq, inputs.c_seq, inputs.dirs
     if x.ndim != 3:
         raise ShapeMismatch(op, f"x must be (B, D, L), got {x.shape}")
     (bsz, d, length), n = x.shape, params.n_state
@@ -217,14 +217,13 @@ def _check_scan_operands(op: str, inputs: ScanInputs, params: SsmParams,
                 raise ValueError(f"{op}: direction codes must lie in [0, {N_DIRECTIONS})")
 
 
-def _selective_scan(op: str, inputs: ScanInputs, params: SsmParams,
-                    dirs: np.ndarray | None, *, parallel: bool) -> Tensor:
+def _selective_scan(op: str, inputs: ScanInputs, params: SsmParams, *, parallel: bool) -> Tensor:
     """Shared kernel body: y = C h + skip_gain * x with h_i = abar_i h_{i-1}
     + delta_i (b_i [+ table[dirs_i]]) x_i as one fused tape node, its states
-    run by _chunk_states or, with parallel, by the doubling oracle. dirs is
-    None for the direction-free scans."""
-    _check_scan_operands(op, inputs, params, dirs)
-    x, delta, b_seq, c_seq = inputs.x, inputs.delta, inputs.b_seq, inputs.c_seq
+    run by _chunk_states or, with parallel, by the doubling oracle. The table
+    term is there exactly when inputs.dirs is set."""
+    _check_scan_operands(op, inputs, params)
+    x, delta, b_seq, c_seq, dirs = inputs.x, inputs.delta, inputs.b_seq, inputs.c_seq, inputs.dirs
     a_log, skip, table = params.a_log, params.skip_gain, params.direction_table
     bad = ~np.isfinite(delta.data).all(axis=1)                      # (B, L)
     if bad.any():
@@ -305,23 +304,21 @@ def _selective_scan(op: str, inputs: ScanInputs, params: SsmParams,
 
 
 def selective_scan_sequential(inputs: ScanInputs, params: SsmParams) -> Tensor:
-    """Direction-free scan evaluated as the literal recurrence."""
-    return _selective_scan("selective_scan_sequential", inputs, params, None, parallel=False)
+    """The literal route; direction-aware exactly when inputs.dirs is set."""
+    return _selective_scan("selective_scan_sequential", inputs, params, parallel=False)
 
 
 def selective_scan_parallel(inputs: ScanInputs, params: SsmParams) -> Tensor:
-    """Direction-free scan evaluated as the log-depth doubling scan."""
-    return _selective_scan("selective_scan_parallel", inputs, params, None, parallel=True)
+    """The doubling oracle; direction-aware exactly when inputs.dirs is set."""
+    return _selective_scan("selective_scan_parallel", inputs, params, parallel=True)
 
 
-def direction_aware_scan(inputs: ScanInputs, params: SsmParams, *,
-                         parallel: bool = False) -> Tensor:
-    """Scan with the per-direction additive B term, discretized exactly like B
-    itself: token i's effective input matrix is delta_i * (b_i + table[dirs[i]]).
+def direction_aware_scan(inputs: ScanInputs, params: SsmParams) -> Tensor:
+    """The model's entry: the literal route, with direction codes required.
     A zero table reproduces the plain scan bit for bit."""
     if inputs.dirs is None:
         raise ValueError("direction_aware_scan: direction codes are required")
-    return _selective_scan("direction_aware_scan", inputs, params, inputs.dirs, parallel=parallel)
+    return _selective_scan("direction_aware_scan", inputs, params, parallel=False)
 
 
 def directional_scan_sum(features: Tensor, params: SsmParams) -> Tensor:

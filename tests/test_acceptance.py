@@ -147,15 +147,15 @@ def test_c04_direction_aware_matches_naive(criterion_report):
         inputs, params = sample_scan_instance(rng, length, int(rng.integers(1, 7)),
                                               int(rng.integers(1, 9)),
                                               int(rng.integers(1, 3)), F64, directed=True)
-        got = direction_aware_scan(inputs, params, parallel=bool(trial % 2))
+        got = (selective_scan_parallel if trial % 2 else direction_aware_scan)(inputs, params)
         worst = max(worst, float(np.abs(got.data - naive_recurrence(inputs, params)).max()))
     # zero table: directed scan is the plain scan, bit for bit, on both routes
     inputs, params = sample_scan_instance(rng, 40, 4, 6, 2, F64, directed=True)
     params.direction_table.data[...] = 0.0
     plain = ScanInputs(x=inputs.x, delta=inputs.delta, b_seq=inputs.b_seq, c_seq=inputs.c_seq)
-    neutral = (np.array_equal(direction_aware_scan(inputs, params, parallel=False).data,
+    neutral = (np.array_equal(direction_aware_scan(inputs, params).data,
                               selective_scan_sequential(plain, params).data)
-               and np.array_equal(direction_aware_scan(inputs, params, parallel=True).data,
+               and np.array_equal(selective_scan_parallel(inputs, params).data,
                                   selective_scan_parallel(plain, params).data))
     ok = worst < 1e-6 and neutral
     detail = (f"50 instances vs naive recurrence: max err {worst:.2e} (<1e-6); "
@@ -272,8 +272,8 @@ def _op_gradient_cases(rng):
          lambda: weighted(selective_scan_sequential(seq_in, seq_p), wt_seq), seq_wrt),
         ("selective_scan_parallel",
          lambda: weighted(selective_scan_parallel(seq_in, seq_p), wt_seq), seq_wrt),
-        ("direction_aware_scan",
-         lambda: weighted(direction_aware_scan(dir_in, dir_p, parallel=True), wt_dir),
+        ("selective_scan_parallel with codes",
+         lambda: weighted(selective_scan_parallel(dir_in, dir_p), wt_dir),
          [dir_in.x, dir_in.delta, dir_in.b_seq, dir_in.c_seq,
           dir_p.a_log, dir_p.skip_gain, dir_p.direction_table]),
     ]

@@ -84,6 +84,24 @@ def test_inputs_restored_after_check(rng):
     np.testing.assert_array_equal(x.data, data)
 
 
+def test_inputs_restored_when_f_raises(rng):
+    # the first perturbed call raises: the coordinate it moved is put back
+    x, y = (Tensor(rng.normal(size=4), requires_grad=True, dtype=F64) for _ in range(2))
+    before = [x.data.tobytes(), y.data.tobytes()]
+    calls = []
+
+    def f():
+        calls.append(None)
+        if len(calls) > 1:      # the first call is the taped, unperturbed one
+            raise RuntimeError("planted failure")
+        return ad.sum_all(ad.mul(x, y))
+
+    with pytest.raises(RuntimeError, match="planted failure"):
+        finite_diff_check(f, [x, y])
+    assert len(calls) == 2
+    assert [x.data.tobytes(), y.data.tobytes()] == before
+
+
 def double(t, vjp):
     """2 * t, recorded with the given (planted) vjp."""
     out = Tensor(t.data * 2.0, dtype=t.dtype)

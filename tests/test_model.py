@@ -17,8 +17,7 @@ import pytest
 import vcmamba.autodiff as ad
 from vcmamba.autodiff import ShapeMismatch, Tensor
 from vcmamba.checkpoint import save_checkpoint
-from vcmamba.model import (PRESETS, ModelSpec, VCMamba, count_macs, count_params,
-                           get_preset, interleave_blocks)
+from vcmamba.model import PRESETS, ModelSpec, VCMamba, count_macs, count_params, get_preset
 from vcmamba.nn import Linear
 
 TINY = ModelSpec("tiny", (4, 4, 4, 4), ("F", "F", "F", "M"), 10, 32, n_state=2)
@@ -46,21 +45,6 @@ def declared_names(module, prefix=""):
     yield from (prefix + name for name in module._inits)
     for name, child in module._children.items():
         yield from declared_names(child, prefix + name + ".")
-
-
-class TestInterleave:
-    def test_frozen_orders(self):
-        assert interleave_blocks(4, 4) == "MFMFMFMF"
-        assert interleave_blocks(2, 4) == "MFMFMM"
-        assert interleave_blocks(1, 2) == "MFM"
-        assert interleave_blocks(0, 2) == "MM"
-        assert interleave_blocks(2, 0) == "FF"
-        assert interleave_blocks(0, 0) == ""
-
-    def test_counts_preserved(self):
-        for f, m in [(3, 5), (5, 3), (0, 4), (7, 7)]:
-            s = interleave_blocks(f, m)
-            assert s.count("F") == f and s.count("M") == m
 
 
 class TestPresets:

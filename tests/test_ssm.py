@@ -3,8 +3,8 @@
 The kernel is checked three independent ways: frozen hand-computed
 recurrences, an O(L^2) dense transition-matrix oracle written with plain
 loops in this file, and finite differences on every differentiable operand.
-The sequential and doubling evaluations are also required to agree with each
-other, forward and backward.
+The literal and doubling routes are also required to agree with each other,
+forward and backward, with and without direction codes.
 """
 
 import tracemalloc
@@ -284,9 +284,10 @@ class TestScanValues:
         for dirs in (shared, per_row):
             inp.dirs = dirs
             expected = dense_scan_oracle(inp, p)
-            for parallel in (False, True):
-                got = direction_aware_scan(inp, p, parallel=parallel)
-                np.testing.assert_allclose(got.data, expected, atol=1e-10)
+            for kernel in (selective_scan_sequential, selective_scan_parallel,
+                           direction_aware_scan):
+                np.testing.assert_allclose(kernel(inp, p).data, expected, atol=1e-10,
+                                           err_msg=kernel.__name__)
 
     def test_pure_feedthrough_when_b_is_zero(self, rng):
         p = make_params(3, 4)
@@ -472,8 +473,10 @@ class TestScanGradients:
         p.direction_table.data[:] = rng.normal(size=(N_DIRECTIONS, 3)) * 0.2
         inp = make_inputs(rng, b=1, d=2, n=3, length=5, with_dirs=True)
 
+        kernel = selective_scan_parallel if parallel else direction_aware_scan
+
         def f():
-            y = direction_aware_scan(inp, p, parallel=parallel)
+            y = kernel(inp, p)
             return ad.sum_all(ad.mul(y, y))
 
         wrt = [inp.x, inp.delta, inp.b_seq, inp.c_seq,
@@ -547,7 +550,7 @@ class TestScanGradients:
         p2.direction_table.data[:] = p1.direction_table.data
         inp_data = make_inputs(rng, b=2, d=3, n=4, length=33, with_dirs=True)
 
-        def run(params, parallel):
+        def run(params, kernel):
             inp = ScanInputs(
                 x=Tensor(inp_data.x.data.copy(), requires_grad=True, dtype=F64),
                 delta=Tensor(inp_data.delta.data.copy(), requires_grad=True, dtype=F64),
@@ -555,14 +558,14 @@ class TestScanGradients:
                 c_seq=Tensor(inp_data.c_seq.data.copy(), requires_grad=True, dtype=F64),
                 dirs=inp_data.dirs)
             with Tape():
-                y = direction_aware_scan(inp, params, parallel=parallel)
+                y = kernel(inp, params)
                 loss = ad.sum_all(ad.mul(y, y))
             backward(loss)
             return ([inp.x.grad, inp.delta.grad, inp.b_seq.grad, inp.c_seq.grad]
                     + [params.a_log.grad, params.skip_gain.grad,
                        params.direction_table.grad])
 
-        for a, b in zip(run(p1, False), run(p2, True)):
+        for a, b in zip(run(p1, direction_aware_scan), run(p2, selective_scan_parallel)):
             np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_projection_chain_gradients(self, rng):

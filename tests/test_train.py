@@ -23,6 +23,7 @@ import pytest
 
 import vcmamba.autodiff as ad
 from vcmamba.autodiff import Tape, Tensor, backward
+from vcmamba.blocks import MdmBlock
 from vcmamba.checkpoint import load_checkpoint, save_checkpoint
 from vcmamba.config import TrainConfig, ValidationError, load_train_config
 from vcmamba.data import ToyDataset
@@ -206,6 +207,24 @@ class TestTrainStep:
         np.testing.assert_array_equal((err.value.loss, err.value.grad_norm), (loss, grad_norm))
         assert err.value.checkpoint_path is None
         assert state() == before
+
+    def test_direction_term_is_live_at_64px(self):
+        # at 64 px the stage-4 grid is 2x2 (L = 4): every path reads move codes
+        # and carries a state. At 32 px (1x1, L = 1) every code is the begin
+        # code, so table rows 1-4 and a_log get exactly zero gradient there
+        spec = dataclasses.replace(get_preset("nano"), input_resolution=64)
+        model = VCMamba(spec, seed=0).train()
+        opt = AdamW(model.named_parameters())
+        data = ToyDataset(8, seed=0, resolution=64)
+        ssms = [m.mamba.ssm for m in model.stage4.blocks if isinstance(m, MdmBlock)]
+        assert len(ssms) == 2
+        tables = [ssm.direction_table.data.copy() for ssm in ssms]
+        train_module.train_step(model, opt, data.images, data.labels)
+        for ssm, before in zip(ssms, tables):
+            assert np.all(np.linalg.norm(ssm.direction_table.grad, axis=1) > 0)
+            assert np.any(ssm.a_log.grad != 0)
+            # the zero-initialised table moves by its gradient alone
+            assert np.all((ssm.direction_table.data != before).any(axis=1))
 
     def test_float64_model_steps_in_float64(self, monkeypatch):
         # float32 images enter a float64 model as float64
